@@ -1,6 +1,7 @@
 """Verification of the known bounds tying the k-tuple invariants together.
 
-verify_all computes the invariants of one (graph, k) pair and evaluates a
+verify_all takes the invariants of one (graph, k) pair from
+compute_invariants, adds the complement's domatic number, and evaluates a
 fixed catalogue of checks (C1..C11).  Each check reports one of four
 statuses: "holds" (strict), "sharp" (holds with equality), "violated"
 (the solver output contradicts a proven bound, so a solver bug), or
@@ -26,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .domatic import d_xk
-from .domination import gamma_xk, kjoin_minimum_size
+from .domatic import d_xk, degree_ceiling, zelinka_floor
+from .domination import kjoin_minimum_size, vertex_mask
 from .graphs import Graph, complement
+from .reports import InvariantReport, compute_invariants
 
 HOLDS = "holds"
 SHARP = "sharp"
@@ -83,7 +85,11 @@ class CheckResult:
 
 @dataclass
 class BoundsReport:
-    """Instance metadata, computed invariants and the check catalogue."""
+    """Instance metadata, computed invariants and the check catalogue.
+
+    ``invariants`` is the InvariantReport the values were taken from, with
+    its witnesses; to_dict() does not write it.
+    """
 
     n: int
     edge_count: int
@@ -99,6 +105,7 @@ class BoundsReport:
     d_complement: int | None
     r_used: int | None
     checks: tuple[CheckResult, ...]
+    invariants: InvariantReport
 
     @property
     def violations(self) -> tuple[CheckResult, ...]:
@@ -144,13 +151,6 @@ def _na(check_id: str, reason: str) -> CheckResult:
     return CheckResult(check_id, _STATEMENTS[check_id], None, None, NOT_APPLICABLE, reason)
 
 
-def _mask(cls: tuple[int, ...]) -> int:
-    mask = 0
-    for v in cls:
-        mask |= 1 << v
-    return mask
-
-
 def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsReport:
     """Evaluate every catalogue check for one (graph, k) pair.
 
@@ -158,30 +158,25 @@ def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsR
     aborting, so batch callers always get a full report.  ``scan_cap`` caps
     the exhaustive exact-size scan behind C11.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    inv = compute_invariants(g, k)
     n = g.n
     delta = g.min_degree
     Delta = g.max_degree
     regular = delta == Delta
     bipartite = g.is_bipartite()
 
-    if delta < k - 1:
+    if inv.gamma is None:
         reason = f"no k-tuple dominating set: minimum degree {delta} < {k - 1}"
         return BoundsReport(
             n, g.edge_count, delta, Delta, k, regular, bipartite,
             None, None, None, None, None, None,
-            tuple(_na(cid, reason) for cid in CHECK_IDS),
+            tuple(_na(cid, reason) for cid in CHECK_IDS), inv,
         )
 
-    gamma_res = gamma_xk(g, k)
-    d_res = d_xk(g, k, gamma=gamma_res)
-    gamma = gamma_res.value
+    d_res = inv.domatic
+    gamma = inv.gamma.value
     d = d_res.value
-
-    open_ok = delta >= k
-    gamma_t_res = gamma_xk(g, k, "open") if open_ok else None
-    d_t_res = d_xk(g, k, "open", gamma=gamma_t_res) if open_ok else None
+    d_t_res = inv.domatic_total
 
     gbar = complement(g)
     comp_ok = gbar.min_degree >= k - 1
@@ -206,14 +201,14 @@ def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsR
 
     # C2: a minimum-degree vertex has delta+1 closed neighbours split among
     # the classes, each taking at least k.
-    ceiling = (delta + 1) // k
+    ceiling = degree_ceiling(g, k, "closed")
     if d > ceiling:
         checks.append(CheckResult("C2", _STATEMENTS["C2"], d, ceiling, VIOLATED))
     elif d == ceiling:
         notes = "class count attains the degree ceiling"
         status = SHARP
         if d * k == delta + 1:
-            witness_masks = [_mask(cls) for cls in d_res.witness.classes]
+            witness_masks = [vertex_mask(g, cls) for cls in d_res.witness.classes]
             exact = all(
                 (g.closed[v] & mask).bit_count() == k
                 for v in range(n) if g.deg[v] == delta
@@ -343,7 +338,7 @@ def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsR
                 checks.append(CheckResult("C7", _STATEMENTS["C7"], total, bound, SHARP, "; ".join(notes_parts)))
 
     # C8
-    floor_bound = n // (k * (n - delta))
+    floor_bound = zelinka_floor(g, k)
     if d < floor_bound:
         checks.append(CheckResult("C8", _STATEMENTS["C8"], d, floor_bound, VIOLATED))
     else:
@@ -351,7 +346,7 @@ def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsR
         checks.append(CheckResult("C8", _STATEMENTS["C8"], d, floor_bound, status))
 
     # C9
-    if not open_ok:
+    if d_t_res is None:
         checks.append(_na("C9", f"needs delta >= k, have delta = {delta}"))
     else:
         d_t = d_t_res.value
@@ -405,11 +400,11 @@ def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsR
     return BoundsReport(
         n, g.edge_count, delta, Delta, k, regular, bipartite,
         gamma, d,
-        gamma_t_res.value if gamma_t_res else None,
+        inv.gamma_total.value if inv.gamma_total else None,
         d_t_res.value if d_t_res else None,
         dbar_res.value if dbar_res else None,
         r_used,
-        tuple(checks),
+        tuple(checks), inv,
     )
 
 

@@ -17,8 +17,8 @@ import json
 import sys
 
 from .bounds import CHECK_IDS, DEFAULT_SCAN_CAP, BoundsReport, verify_all
-from .graphs import GraphSpec, build_graph, parse_part, write_graph
-from .reports import compute_invariants
+from .graphs import GraphSpec, build_graph, parse_part, read_graph, write_graph
+from .reports import compute_invariants, cross_check
 
 NA = "NA"
 
@@ -125,12 +125,9 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _read_input(path: str):
-    from .graphs import read_graph
-
     if path == "-":
         return read_graph(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        return read_graph(fh.read())
+    return build_graph(GraphSpec(family="from-file", path=path))
 
 
 def _json_text(payload: dict) -> str:
@@ -231,9 +228,9 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
             counts[status] += value
         violations += len(report.violations)
         if args.oracle:
-            inv = compute_invariants(g, args.k, "both", with_oracle=True)
-            mismatches += len(inv.oracle_mismatches)
-            for line in inv.oracle_mismatches:
+            lines = cross_check(g, report.invariants)
+            mismatches += len(lines)
+            for line in lines:
                 print(f"oracle mismatch on instance {index}: {line}", file=sys.stderr)
         writer.writerow(_row(args, index, seed, report))
     _write_text(args.csv, buffer.getvalue())

@@ -20,6 +20,7 @@ from .domination import (
     gamma_xk,
     is_ktuple_dominating,
     is_ktuple_total_dominating,
+    satisfies_by_cases,
     vertex_mask,
 )
 from .graphs import Graph, bit_list
@@ -101,6 +102,24 @@ def is_domatic_partition(g: Graph, p: DomaticPartition) -> bool:
     return all(test(g, cls, p.k) for cls in p.classes)
 
 
+def degree_ceiling(g: Graph, k: int, mode: str) -> int:
+    """floor((delta+1)/k) in closed mode, floor(delta/k) in open mode: a
+    minimum-degree vertex splits its coverage among the classes, k each."""
+    return (g.min_degree + 1) // k if mode == "closed" else g.min_degree // k
+
+
+def zelinka_floor(g: Graph, k: int) -> int:
+    """floor(n / (k(n-delta))), the closed-mode class count that
+    zelinka_partition constructs; 0 when the bound says nothing."""
+    return g.n // (k * (g.n - g.min_degree))
+
+
+def _search_bounds(g: Graph, k: int, mode: str, gamma: GammaResult) -> SearchBounds:
+    """The bounds framing a search, given its (exact or reference) minimum."""
+    floor = max(1, zelinka_floor(g, k)) if mode == "closed" else 1
+    return SearchBounds(floor, degree_ceiling(g, k, mode), g.n // gamma.value)
+
+
 # ---------------------------------------------------------------------------
 # exact maximum
 
@@ -178,23 +197,20 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     the single class V.
 
     ``gamma`` may pass a precomputed gamma_xk(g, k, mode) result to avoid a
-    second minimum solve; it must belong to exactly that triple.
+    second minimum solve; a result for another k or mode is a ValueError.
     """
     check_degree_gate(g, k, mode)
     if gamma is None:
         gamma = gamma_xk(g, k, mode)
-    n = g.n
-    delta = g.min_degree
-    degree_ceiling = (delta + 1) // k if mode == "closed" else delta // k
-    gamma_ceiling = n // gamma.value
-    zelinka_floor = max(1, n // (k * (n - delta))) if mode == "closed" else 1
-    bounds = SearchBounds(zelinka_floor, degree_ceiling, gamma_ceiling)
-    upper = min(degree_ceiling, gamma_ceiling)
+    elif (gamma.k, gamma.mode) != (k, mode):
+        raise ValueError(f"gamma result is for k={gamma.k}, mode={gamma.mode!r}, not k={k}, mode={mode!r}")
+    bounds = _search_bounds(g, k, mode, gamma)
+    upper = min(bounds.degree_ceiling, bounds.gamma_ceiling)
 
     floor = 1
     fallback = _whole_vertex_partition(g, k, mode)
-    if mode == "closed" and zelinka_floor >= 2:
-        floor = zelinka_floor
+    if bounds.zelinka_floor >= 2:
+        floor = bounds.zelinka_floor
         fallback = zelinka_partition(g, k)
     for count in range(upper, floor, -1):
         color = _find_partition(g, k, mode, count)
@@ -215,31 +231,12 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", cap: int = ORACLE_PARTITION
     if g.n > cap:
         raise OracleCapError(f"oracle refuses n={g.n} > cap={cap}")
     n = g.n
-    delta = g.min_degree
-    gamma = gamma_oracle(g, k, mode)
-    degree_ceiling = (delta + 1) // k if mode == "closed" else delta // k
-    zelinka_floor = max(1, n // (k * (n - delta))) if mode == "closed" else 1
-    bounds = SearchBounds(zelinka_floor, degree_ceiling, n // gamma.value)
-
-    neighbor_sets = [set(g.neighbors(v)) for v in range(n)]
-
-    def block_ok(block: list[int]) -> bool:
-        members = set(block)
-        for v in range(n):
-            inside = len(neighbor_sets[v] & members)
-            if mode == "open":
-                if inside < k:
-                    return False
-            elif v in members:
-                if inside < k - 1:
-                    return False
-            elif inside < k:
-                return False
-        return True
+    bounds = _search_bounds(g, k, mode, gamma_oracle(g, k, mode))
+    nbrs = [set(g.neighbors(v)) for v in range(n)]
 
     best_count = 1
     best_blocks = [list(range(n))]
-    max_blocks = degree_ceiling
+    max_blocks = bounds.degree_ceiling
     if max_blocks >= 2:
         blocks: list[list[int]] = []
 
@@ -248,7 +245,7 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", cap: int = ORACLE_PARTITION
             if min(max_blocks, len(blocks) + (n - v)) <= best_count:
                 return
             if v == n:
-                if len(blocks) > best_count and all(block_ok(b) for b in blocks):
+                if len(blocks) > best_count and all(satisfies_by_cases(nbrs, set(b), k, mode) for b in blocks):
                     best_count = len(blocks)
                     best_blocks = [list(b) for b in blocks]
                 return
@@ -277,11 +274,11 @@ def zelinka_partition(g: Graph, k: int) -> DomaticPartition | None:
     the bound says nothing; every block is re-verified before returning.
     """
     check_degree_gate(g, k, "closed")
+    count = zelinka_floor(g, k)
+    if count == 0:
+        return None
     n = g.n
     base = k * (n - g.min_degree)
-    if base > n:
-        return None
-    count = n // base
     sizes = [base] * (count - 1) + [base + n - count * base]
     classes: list[tuple[int, ...]] = []
     start = 0

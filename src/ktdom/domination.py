@@ -88,6 +88,19 @@ def is_ktuple_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
     return all((c & mask).bit_count() >= k for c in g.closed)
 
 
+def satisfies_by_cases(nbrs: list[set[int]], members: set[int], k: int, mode: str) -> bool:
+    """The literal definition on plain sets, shared by the references only.
+
+    Closed mode: members need k-1 neighbours inside, non-members need k.
+    Open mode: every vertex needs k neighbours inside.
+    """
+    for v, nv in enumerate(nbrs):
+        need = k - 1 if mode == "closed" and v in members else k
+        if len(nv & members) < need:
+            return False
+    return True
+
+
 def is_ktuple_dominating_by_cases(g: Graph, s: Iterable[int], k: int) -> bool:
     """Literal two-case definition, kept as an independent reference.
 
@@ -101,14 +114,8 @@ def is_ktuple_dominating_by_cases(g: Graph, s: Iterable[int], k: int) -> bool:
         if not (isinstance(v, int) and 0 <= v < g.n):
             raise ValueError(f"vertex {v!r} outside 0..{g.n - 1}")
         members.add(v)
-    for v in range(g.n):
-        inside = sum(1 for w in g.neighbors(v) if w in members)
-        if v in members:
-            if inside < k - 1:
-                return False
-        elif inside < k:
-            return False
-    return True
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    return satisfies_by_cases(nbrs, members, k, "closed")
 
 
 def is_ktuple_total_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
@@ -232,27 +239,12 @@ def gamma_oracle(g: Graph, k: int, mode: str = "closed", cap: int = ORACLE_VERTE
     if g.n > cap:
         raise OracleCapError(f"oracle refuses n={g.n} > cap={cap}")
     n = g.n
-    neighbor_sets = [set(g.neighbors(v)) for v in range(n)]
+    nbrs = [set(g.neighbors(v)) for v in range(n)]
     checked = 0
     for size in range(n + 1):
         for combo in itertools.combinations(range(n), size):
             checked += 1
-            members = set(combo)
-            ok = True
-            for v in range(n):
-                inside = len(neighbor_sets[v] & members)
-                if mode == "open":
-                    if inside < k:
-                        ok = False
-                        break
-                elif v in members:
-                    if inside < k - 1:
-                        ok = False
-                        break
-                elif inside < k:
-                    ok = False
-                    break
-            if ok:
+            if satisfies_by_cases(nbrs, set(combo), k, mode):
                 return GammaResult(size, combo, mode, k, checked)
     raise AssertionError("unreachable: the degree gate guarantees V itself is feasible")
 

@@ -1,5 +1,8 @@
 """Invariant reports: all four computed values plus certificates for one
-(graph, k) pair, with optional brute-force cross-checking."""
+(graph, k) pair, with optional brute-force cross-checking.
+
+compute_invariants is where each instance is solved; verify_all in
+bounds.py builds its check catalogue on the report it returns."""
 
 from __future__ import annotations
 
@@ -57,51 +60,57 @@ def compute_invariants(
 ) -> InvariantReport:
     """Solve the requested modes for (g, k); never raises on a degree gate.
 
-    ``mode`` selects "closed", "open" or "both".  With ``with_oracle`` the
-    brute-force references recompute each value (within their caps, a hard
-    error above); disagreements land in ``oracle_mismatches``.
+    This is the one place where an instance is gated and solved.  ``mode``
+    selects "closed", "open" or "both".  With ``with_oracle`` the report is
+    also passed through cross_check.
     """
     if mode not in ("closed", "open", "both"):
         raise ValueError(f"mode must be 'closed', 'open' or 'both', got {mode!r}")
     notes: list[str] = []
-    mismatches: list[str] = []
-
     gamma = domatic = gamma_total = domatic_total = None
-    want_closed = mode in ("closed", "both")
-    want_open = mode in ("open", "both")
 
-    if want_closed:
+    if mode in ("closed", "both"):
         if g.min_degree >= k - 1:
             gamma = gamma_xk(g, k, "closed")
             domatic = d_xk(g, k, "closed", gamma=gamma)
         else:
             notes.append(f"closed mode skipped: minimum degree {g.min_degree} < k-1 = {k - 1}")
-    if want_open:
+    if mode in ("open", "both"):
         if g.min_degree >= k:
             gamma_total = gamma_xk(g, k, "open")
             domatic_total = d_xk(g, k, "open", gamma=gamma_total)
         else:
             notes.append(f"open mode skipped: minimum degree {g.min_degree} < k = {k}")
 
-    if with_oracle:
-        if g.n > min(ORACLE_VERTEX_CAP, ORACLE_PARTITION_CAP):
-            raise ValueError(
-                f"oracle cross-check needs n <= {min(ORACLE_VERTEX_CAP, ORACLE_PARTITION_CAP)}, got n = {g.n}"
-            )
-        for label, fast, slow_fn, slow_mode in (
-            ("gamma", gamma, gamma_oracle, "closed"),
-            ("gamma_total", gamma_total, gamma_oracle, "open"),
-            ("d", domatic, d_oracle, "closed"),
-            ("d_total", domatic_total, d_oracle, "open"),
-        ):
-            if fast is None:
-                continue
-            reference = slow_fn(g, k, slow_mode)
-            if reference.value != fast.value:
-                mismatches.append(f"{label}: solver = {fast.value}, oracle = {reference.value}")
-
-    return InvariantReport(
+    report = InvariantReport(
         g.n, g.edge_count, g.min_degree, g.max_degree, k,
-        gamma, domatic, gamma_total, domatic_total,
-        tuple(notes), with_oracle, tuple(mismatches),
+        gamma, domatic, gamma_total, domatic_total, tuple(notes),
     )
+    if with_oracle:
+        report.oracle_checked = True
+        report.oracle_mismatches = cross_check(g, report)
+    return report
+
+
+def cross_check(g: Graph, report: InvariantReport) -> tuple[str, ...]:
+    """Recompute every solved value of ``report`` with the brute-force
+    references; returns one line per disagreement.
+
+    The references have vertex caps, so a graph above them is a ValueError.
+    """
+    cap = min(ORACLE_VERTEX_CAP, ORACLE_PARTITION_CAP)
+    if g.n > cap:
+        raise ValueError(f"oracle cross-check needs n <= {cap}, got n = {g.n}")
+    mismatches: list[str] = []
+    for label, fast, slow_fn, slow_mode in (
+        ("gamma", report.gamma, gamma_oracle, "closed"),
+        ("gamma_total", report.gamma_total, gamma_oracle, "open"),
+        ("d", report.domatic, d_oracle, "closed"),
+        ("d_total", report.domatic_total, d_oracle, "open"),
+    ):
+        if fast is None:
+            continue
+        reference = slow_fn(g, report.k, slow_mode)
+        if reference.value != fast.value:
+            mismatches.append(f"{label}: solver = {fast.value}, oracle = {reference.value}")
+    return tuple(mismatches)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+import ktdom
 from ktdom import complete, cycle, disjoint_union, k_join, path, read_graph
 from ktdom.cli import CSV_COLUMNS, main
 
@@ -165,6 +168,30 @@ class TestEnsemble:
         gamma_col = CSV_COLUMNS.index("gamma")
         cells = [line.split(",")[gamma_col] for line in out.splitlines()[1:]]
         assert "NA" in cells
+
+    def test_oracle_solves_each_instance_once(self, monkeypatch, capsys):
+        # --oracle cross-checks the report verify_all already holds, so no
+        # graph (instance or complement) is solved twice in the same mode
+        solved = []  # holding each graph keeps its id unique for the run
+
+        def spy(name):
+            original = getattr(ktdom, name)
+
+            def wrapper(g, k, mode="closed", **kwargs):
+                solved.append((g, name, mode))
+                return original(g, k, mode, **kwargs)
+
+            for module in [m for key, m in sys.modules.items() if key.startswith("ktdom")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapper)
+
+        spy("gamma_xk")
+        spy("d_xk")
+        code, _, _ = run(capsys, "ensemble", "--model", "gnp", "--n", "8", "--p", "0.5",
+                         "--count", "4", "--seed", "3", "--k", "1", "--oracle")
+        assert code == 0
+        counts = Counter((id(g), name, mode) for g, name, mode in solved)
+        assert counts and max(counts.values()) == 1, counts
 
     def test_missing_model_param_exits_2(self, capsys):
         code, _, err = run(capsys, "ensemble", "--model", "gnp", "--n", "8",

@@ -146,6 +146,14 @@ class TestDomaticSolver:
         res = d_xk(g, 2, gamma=gamma_xk(g, 2))
         assert res.value == 3
 
+    def test_precomputed_gamma_must_match_k_and_mode(self):
+        g = cycle(6)
+        with pytest.raises(ValueError, match="gamma result is for k=2"):
+            d_xk(g, 1, gamma=gamma_xk(g, 2))
+        with pytest.raises(ValueError, match="mode='open'"):
+            d_xk(g, 1, gamma=gamma_xk(g, 1, "open"))
+        assert d_xk(g, 1, gamma=gamma_xk(g, 1)).value == 3
+
     def test_fallback_when_nothing_above_one(self):
         res = d_xk(path(4), 2)  # delta = 1, ceiling = 1
         assert res.value == 1

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from ktdom import complete, compute_invariants, cycle, gnp, path
+from ktdom import complete, compute_invariants, cycle, gnp, path, verify_all
+from ktdom.reports import cross_check
 
 
 def test_both_modes_populated_when_gates_hold():
@@ -59,3 +60,13 @@ def test_to_dict_shape():
     assert payload["gamma"]["value"] == 2
     assert payload["domatic"]["witness"]["classes"] == [[0, 1], [2, 3]]
     assert payload["oracle"] == {"checked": False, "mismatches": []}
+
+
+def test_verify_all_keeps_the_report_it_was_built_from():
+    g = cycle(6)
+    report = verify_all(g, 1)
+    inv = report.invariants
+    assert (report.gamma, report.d, report.gamma_total, report.d_total) == (
+        inv.gamma.value, inv.domatic.value, inv.gamma_total.value, inv.domatic_total.value)
+    assert "invariants" not in report.to_dict()
+    assert cross_check(g, inv) == ()
