@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domatic import d_xk, degree_ceiling, zelinka_floor
-from .domination import kjoin_minimum_size, vertex_mask
+from .domination import _needed_degree, kjoin_minimum_size, vertex_mask
 from .graphs import Graph, complement
 from .reports import InvariantReport, compute_invariants
 
@@ -36,8 +36,6 @@ HOLDS = "holds"
 SHARP = "sharp"
 VIOLATED = "violated"
 NOT_APPLICABLE = "not-applicable"
-
-CHECK_IDS = ("C1", "C2", "C3", "C4", "C5", "C5b", "C6", "C7", "C8", "C9", "C10", "C11")
 
 _STATEMENTS = {
     "C1": "gamma * d <= n",
@@ -53,6 +51,8 @@ _STATEMENTS = {
     "C10": "gamma >= 2k - 2 for bipartite graphs, k >= 2",
     "C11": "min { t : an exact-size-t dominating block exists } = gamma",
 }
+
+CHECK_IDS = tuple(_STATEMENTS)
 
 DEFAULT_SCAN_CAP = 16
 
@@ -147,8 +147,33 @@ class BoundsReport:
         }
 
 
+_SIGNATURE_NOTES = ("equality instance matches the K_{k-1,k-1} signature", "equality occurs only on K_{k-1,k-1}")
+
+
+def _result(check_id: str, lhs: object, rhs: object, status: str, notes: str = "") -> CheckResult:
+    return CheckResult(check_id, _STATEMENTS[check_id], lhs, rhs, status, notes)
+
+
 def _na(check_id: str, reason: str) -> CheckResult:
-    return CheckResult(check_id, _STATEMENTS[check_id], None, None, NOT_APPLICABLE, reason)
+    return _result(check_id, None, None, NOT_APPLICABLE, reason)
+
+
+def _compare(check_id: str, lhs, rhs, sharp_ok: bool = True, sharp_notes: str = "",
+             broken_notes: str = "", *, lower: bool = False) -> CheckResult:
+    """The status rule shared by the one-sided checks.
+
+    lhs beyond rhs (above it, or below it when ``lower``) is violated;
+    equality is sharp with ``sharp_notes`` when ``sharp_ok`` holds and
+    violated with ``broken_notes`` when it does not (the equality case of
+    the bound forces a structure the instance lacks); anything else holds.
+    """
+    if (lhs < rhs) if lower else (lhs > rhs):
+        return _result(check_id, lhs, rhs, VIOLATED)
+    if lhs != rhs:
+        return _result(check_id, lhs, rhs, HOLDS)
+    if sharp_ok:
+        return _result(check_id, lhs, rhs, SHARP, sharp_notes)
+    return _result(check_id, lhs, rhs, VIOLATED, broken_notes)
 
 
 def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsReport:
@@ -165,8 +190,9 @@ def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsR
     regular = delta == Delta
     bipartite = g.is_bipartite()
 
+    need = _needed_degree(k, "closed")
     if inv.gamma is None:
-        reason = f"no k-tuple dominating set: minimum degree {delta} < {k - 1}"
+        reason = f"no k-tuple dominating set: minimum degree {delta} < {need}"
         return BoundsReport(
             n, g.edge_count, delta, Delta, k, regular, bipartite,
             None, None, None, None, None, None,
@@ -179,129 +205,83 @@ def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsR
     d_t_res = inv.domatic_total
 
     gbar = complement(g)
-    comp_ok = gbar.min_degree >= k - 1
+    comp_ok = gbar.min_degree >= need
     dbar_res = d_xk(gbar, k) if comp_ok else None
 
     r_used: int | None = None
     checks: list[CheckResult] = []
 
     # C1: the class sizes of any valid partition sum to n and each is >= gamma.
-    prod = gamma * d
-    if prod > n:
-        checks.append(CheckResult("C1", _STATEMENTS["C1"], prod, n, VIOLATED))
-    elif prod == n:
-        if all(len(cls) == gamma for cls in d_res.witness.classes):
-            checks.append(CheckResult("C1", _STATEMENTS["C1"], prod, n, SHARP,
-                                      "every witness class is a minimum set"))
-        else:
-            checks.append(CheckResult("C1", _STATEMENTS["C1"], prod, n, VIOLATED,
-                                      "equality requires every witness class to have minimum size"))
-    else:
-        checks.append(CheckResult("C1", _STATEMENTS["C1"], prod, n, HOLDS))
+    checks.append(_compare(
+        "C1", gamma * d, n, all(len(cls) == gamma for cls in d_res.witness.classes),
+        "every witness class is a minimum set", "equality requires every witness class to have minimum size",
+    ))
 
     # C2: a minimum-degree vertex has delta+1 closed neighbours split among
-    # the classes, each taking at least k.
-    ceiling = degree_ceiling(g, k, "closed")
-    if d > ceiling:
-        checks.append(CheckResult("C2", _STATEMENTS["C2"], d, ceiling, VIOLATED))
-    elif d == ceiling:
-        notes = "class count attains the degree ceiling"
-        status = SHARP
-        if d * k == delta + 1:
-            witness_masks = [vertex_mask(g, cls) for cls in d_res.witness.classes]
-            exact = all(
-                (g.closed[v] & mask).bit_count() == k
-                for v in range(n) if g.deg[v] == delta
-                for mask in witness_masks
-            )
-            if exact:
-                notes += "; every class meets each minimum-degree closed neighbourhood exactly k times"
-            else:
-                status = VIOLATED
-                notes = "exact equality d = (delta+1)/k forces |N[v] & class| = k for minimum-degree v"
-        checks.append(CheckResult("C2", _STATEMENTS["C2"], d, ceiling, status, notes))
-    else:
-        checks.append(CheckResult("C2", _STATEMENTS["C2"], d, ceiling, HOLDS))
+    # the classes, each taking at least k; at d = (delta+1)/k each takes k.
+    exact_split = d * k == delta + 1
+    split_ok = not exact_split or all(
+        (g.closed[v] & mask).bit_count() == k
+        for mask in [vertex_mask(g, cls) for cls in d_res.witness.classes]
+        for v in range(n) if g.deg[v] == delta
+    )
+    checks.append(_compare(
+        "C2", d, degree_ceiling(g, k, "closed"), split_ok,
+        "class count attains the degree ceiling"
+        + ("; every class meets each minimum-degree closed neighbourhood exactly k times" if exact_split else ""),
+        "exact equality d = (delta+1)/k forces |N[v] & class| = k for minimum-degree v",
+    ))
 
     # C3
     if k < 2:
         checks.append(_na("C3", "needs k >= 2"))
     else:
-        bound = Fraction(n, k - 1)
-        if d > bound:
-            checks.append(CheckResult("C3", _STATEMENTS["C3"], d, bound, VIOLATED))
-        elif d == bound:
-            if gamma == k - 1:
-                checks.append(CheckResult("C3", _STATEMENTS["C3"], d, bound, SHARP, "gamma = k - 1"))
-            else:
-                checks.append(CheckResult("C3", _STATEMENTS["C3"], d, bound, VIOLATED,
-                                          "equality requires gamma = k - 1, impossible since every set has >= k members"))
-        else:
-            checks.append(CheckResult("C3", _STATEMENTS["C3"], d, bound, HOLDS))
+        checks.append(_compare(
+            "C3", d, Fraction(n, k - 1), gamma == k - 1, "gamma = k - 1",
+            "equality requires gamma = k - 1, impossible since every set has >= k members",
+        ))
 
     # C4
+    signature = bipartite and k >= 2 and _balanced_complete_bipartite_signature(g, k)
     if not bipartite:
         checks.append(_na("C4", "graph is not bipartite"))
     elif k < 2:
         checks.append(_na("C4", "needs k >= 2"))
     else:
-        bound = Fraction(n, 2 * k - 2)
-        if d > bound:
-            checks.append(CheckResult("C4", _STATEMENTS["C4"], d, bound, VIOLATED))
-        elif d == bound:
-            if _balanced_complete_bipartite_signature(g, k):
-                checks.append(CheckResult("C4", _STATEMENTS["C4"], d, bound, SHARP,
-                                          "equality instance matches the K_{k-1,k-1} signature"))
-            else:
-                checks.append(CheckResult("C4", _STATEMENTS["C4"], d, bound, VIOLATED,
-                                          "equality occurs only on K_{k-1,k-1}"))
-        else:
-            checks.append(CheckResult("C4", _STATEMENTS["C4"], d, bound, HOLDS))
+        checks.append(_compare("C4", d, Fraction(n, 2 * k - 2), signature, *_SIGNATURE_NOTES))
 
     # C5 / C5b
     if k < 3:
         checks.append(_na("C5", "needs k >= 3"))
         checks.append(_na("C5b", "needs k >= 3"))
     else:
-        total = gamma + d
-        if total > n + 1:
-            checks.append(CheckResult("C5", _STATEMENTS["C5"], total, n + 1, VIOLATED))
-        else:
-            status = SHARP if total == n + 1 else HOLDS
-            checks.append(CheckResult("C5", _STATEMENTS["C5"], total, n + 1, status))
+        checks.append(_compare("C5", gamma + d, n + 1))
         if d < 2:
             checks.append(_na("C5b", "needs d >= 2"))
         else:
-            bound = Fraction(n, 2) + 2
-            if total > bound:
-                checks.append(CheckResult("C5b", _STATEMENTS["C5b"], total, bound, VIOLATED))
-            else:
-                status = SHARP if total == bound else HOLDS
-                checks.append(CheckResult("C5b", _STATEMENTS["C5b"], total, bound, status))
+            checks.append(_compare("C5b", gamma + d, Fraction(n, 2) + 2))
 
     # C6: two disjoint classes would need 2k closed neighbours at a
     # minimum-degree vertex.
     if delta > 2 * k - 2:
         checks.append(_na("C6", f"needs delta <= 2k-2 = {2 * k - 2}, have delta = {delta}"))
-    elif d == 1:
-        checks.append(CheckResult("C6", _STATEMENTS["C6"], d, 1, HOLDS))
     else:
-        checks.append(CheckResult("C6", _STATEMENTS["C6"], d, 1, VIOLATED))
+        checks.append(_result("C6", d, 1, HOLDS if d == 1 else VIOLATED))
 
     # C7
     if not comp_ok:
-        checks.append(_na("C7", f"complement minimum degree {gbar.min_degree} < {k - 1}"))
+        checks.append(_na("C7", f"complement minimum degree {gbar.min_degree} < {need}"))
     else:
         dbar = dbar_res.value
         total = d + dbar
         bound = Fraction(n + 1, k)
         if total > bound:
-            checks.append(CheckResult("C7", _STATEMENTS["C7"], total, bound, VIOLATED))
+            checks.append(_result("C7", total, bound, VIOLATED))
         elif total < bound:
             notes = f"d(complement) = {dbar}"
             if total == (n + 1) // k:
                 notes += "; integer part of the bound attained"
-            checks.append(CheckResult("C7", _STATEMENTS["C7"], total, bound, HOLDS, notes))
+            checks.append(_result("C7", total, bound, HOLDS, notes))
         else:
             problems: list[str] = []
             notes_parts = [f"d(complement) = {dbar}", "sum attains (n+1)/k exactly"]
@@ -332,18 +312,11 @@ def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsR
                             f"looser estimate n/(r+1) + 1/k = {estimate} exceeds d = {big.value}; "
                             "recorded only, the estimate fails on boundary instances"
                         )
-            if problems:
-                checks.append(CheckResult("C7", _STATEMENTS["C7"], total, bound, VIOLATED, "; ".join(problems)))
-            else:
-                checks.append(CheckResult("C7", _STATEMENTS["C7"], total, bound, SHARP, "; ".join(notes_parts)))
+            status = VIOLATED if problems else SHARP
+            checks.append(_result("C7", total, bound, status, "; ".join(problems or notes_parts)))
 
     # C8
-    floor_bound = zelinka_floor(g, k)
-    if d < floor_bound:
-        checks.append(CheckResult("C8", _STATEMENTS["C8"], d, floor_bound, VIOLATED))
-    else:
-        status = SHARP if d == floor_bound else HOLDS
-        checks.append(CheckResult("C8", _STATEMENTS["C8"], d, floor_bound, status))
+    checks.append(_compare("C8", d, zelinka_floor(g, k), lower=True))
 
     # C9
     if d_t_res is None:
@@ -352,7 +325,7 @@ def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsR
         d_t = d_t_res.value
         upper = 2 * d_t + (1 if d % 2 else 0)
         if d_t > d or d > upper:
-            checks.append(CheckResult("C9", _STATEMENTS["C9"], d, upper, VIOLATED, f"d_t = {d_t}"))
+            checks.append(_result("C9", d, upper, VIOLATED, f"d_t = {d_t}"))
         else:
             notes_parts = [f"d_t = {d_t}"]
             status = HOLDS
@@ -364,30 +337,17 @@ def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsR
                 notes_parts.append("upper end tight: d = 2 d_t")
             if d == 2 * d_t + 1:
                 notes_parts.append("odd-count boundary d = 2 d_t + 1 attained")
-            checks.append(CheckResult("C9", _STATEMENTS["C9"], d, upper, status, "; ".join(notes_parts)))
+            checks.append(_result("C9", d, upper, status, "; ".join(notes_parts)))
 
-    # C10
+    # C10: K_{k-1,k-1} attains the floor, and it is the only graph that does.
     if not bipartite:
         checks.append(_na("C10", "graph is not bipartite"))
     elif k < 2:
         checks.append(_na("C10", "needs k >= 2"))
+    elif signature and gamma > 2 * k - 2:
+        checks.append(_result("C10", gamma, 2 * k - 2, VIOLATED, "K_{k-1,k-1} must attain equality"))
     else:
-        floor_gamma = 2 * k - 2
-        signature = _balanced_complete_bipartite_signature(g, k)
-        if gamma < floor_gamma:
-            checks.append(CheckResult("C10", _STATEMENTS["C10"], gamma, floor_gamma, VIOLATED))
-        elif gamma == floor_gamma:
-            if signature:
-                checks.append(CheckResult("C10", _STATEMENTS["C10"], gamma, floor_gamma, SHARP,
-                                          "equality instance matches the K_{k-1,k-1} signature"))
-            else:
-                checks.append(CheckResult("C10", _STATEMENTS["C10"], gamma, floor_gamma, VIOLATED,
-                                          "equality occurs only on K_{k-1,k-1}"))
-        elif signature:
-            checks.append(CheckResult("C10", _STATEMENTS["C10"], gamma, floor_gamma, VIOLATED,
-                                      "K_{k-1,k-1} must attain equality"))
-        else:
-            checks.append(CheckResult("C10", _STATEMENTS["C10"], gamma, floor_gamma, HOLDS))
+        checks.append(_compare("C10", gamma, 2 * k - 2, signature, *_SIGNATURE_NOTES, lower=True))
 
     # C11
     if n > scan_cap:
@@ -395,7 +355,7 @@ def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsR
     else:
         smallest = kjoin_minimum_size(g, k)
         status = HOLDS if smallest == gamma else VIOLATED
-        checks.append(CheckResult("C11", _STATEMENTS["C11"], smallest, gamma, status))
+        checks.append(_result("C11", smallest, gamma, status))
 
     return BoundsReport(
         n, g.edge_count, delta, Delta, k, regular, bipartite,

@@ -15,10 +15,11 @@ import csv
 import io
 import json
 import sys
+import warnings
 
 from .bounds import CHECK_IDS, DEFAULT_SCAN_CAP, BoundsReport, verify_all
 from .graphs import GraphSpec, build_graph, parse_part, read_graph, write_graph
-from .reports import compute_invariants, cross_check
+from .reports import _check_oracle_cap, compute_invariants, cross_check
 
 NA = "NA"
 
@@ -125,9 +126,14 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _read_input(path: str):
-    if path == "-":
-        return read_graph(sys.stdin.read())
-    return build_graph(GraphSpec(family="from-file", path=path))
+    """Read the edge-list input; a warning about it (a dropped duplicate
+    edge) is printed as one line naming the input, not as a source location."""
+    source = "<stdin>" if path == "-" else path
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {source}: {message}", file=sys.stderr)
+        if path == "-":
+            return read_graph(sys.stdin.read())
+        return build_graph(GraphSpec(family="from-file", path=path))
 
 
 def _json_text(payload: dict) -> str:
@@ -223,6 +229,8 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     for index in range(args.count):
         seed = _instance_seed(args.seed, index)
         g = make(seed)
+        if args.oracle:
+            _check_oracle_cap(g)
         report = verify_all(g, args.k)
         for status, value in report.status_counts().items():
             counts[status] += value

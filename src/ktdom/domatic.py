@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .domination import (
     GammaResult,
     OracleCapError,
+    _check_mode,
     check_degree_gate,
     covers_for,
     gamma_oracle,
@@ -87,8 +88,7 @@ def is_domatic_partition(g: Graph, p: DomaticPartition) -> bool:
     classes sharing a vertex) raise ValueError; an incomplete cover or an
     empty class merely returns False.
     """
-    if p.mode not in ("closed", "open"):
-        raise ValueError(f"mode must be 'closed' or 'open', got {p.mode!r}")
+    _check_mode(p.mode)
     union = 0
     for cls in p.classes:
         mask = vertex_mask(g, cls)

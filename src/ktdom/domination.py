@@ -27,13 +27,20 @@ ORACLE_VERTEX_CAP = 20
 MODES = ("closed", "open")
 
 
+def _needed_degree(k: int, mode: str) -> int:
+    """The minimum degree at which an admissible set exists: k-1 in closed
+    mode (the whole vertex set then qualifies), k in open mode."""
+    return k - 1 if mode == "closed" else k
+
+
 class DegreeGateError(ValueError):
     """No admissible set exists for this (graph, k, mode)."""
 
     def __init__(self, delta: int, k: int, mode: str):
         kind = "k-tuple dominating" if mode == "closed" else "k-tuple total dominating"
-        need = k - 1 if mode == "closed" else k
-        super().__init__(f"no {kind} set exists: minimum degree {delta} < {need} (k={k}, mode={mode})")
+        super().__init__(
+            f"no {kind} set exists: minimum degree {delta} < {_needed_degree(k, mode)} (k={k}, mode={mode})"
+        )
         self.delta = delta
         self.k = k
         self.mode = mode
@@ -57,8 +64,7 @@ def check_degree_gate(g: Graph, k: int, mode: str) -> None:
     """Raise DegreeGateError when no admissible set can exist."""
     _check_k(k)
     _check_mode(mode)
-    need = k - 1 if mode == "closed" else k
-    if g.min_degree < need:
+    if g.min_degree < _needed_degree(k, mode):
         raise DegreeGateError(g.min_degree, k, mode)
 
 

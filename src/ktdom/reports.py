@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .domatic import ORACLE_PARTITION_CAP, DomaticResult, d_oracle, d_xk
-from .domination import ORACLE_VERTEX_CAP, GammaResult, gamma_oracle, gamma_xk
+from .domination import ORACLE_VERTEX_CAP, GammaResult, _needed_degree, gamma_oracle, gamma_xk
 from .graphs import Graph
 
 
@@ -61,26 +61,31 @@ def compute_invariants(
     """Solve the requested modes for (g, k); never raises on a degree gate.
 
     This is the one place where an instance is gated and solved.  ``mode``
-    selects "closed", "open" or "both".  With ``with_oracle`` the report is
-    also passed through cross_check.
+    selects "closed", "open" or "both".  With ``with_oracle`` a graph above
+    the oracle caps is refused before solving, and the report is passed
+    through cross_check.
     """
     if mode not in ("closed", "open", "both"):
         raise ValueError(f"mode must be 'closed', 'open' or 'both', got {mode!r}")
+    if with_oracle:
+        _check_oracle_cap(g)
     notes: list[str] = []
     gamma = domatic = gamma_total = domatic_total = None
 
     if mode in ("closed", "both"):
-        if g.min_degree >= k - 1:
+        need = _needed_degree(k, "closed")
+        if g.min_degree >= need:
             gamma = gamma_xk(g, k, "closed")
             domatic = d_xk(g, k, "closed", gamma=gamma)
         else:
-            notes.append(f"closed mode skipped: minimum degree {g.min_degree} < k-1 = {k - 1}")
+            notes.append(f"closed mode skipped: minimum degree {g.min_degree} < k-1 = {need}")
     if mode in ("open", "both"):
-        if g.min_degree >= k:
+        need = _needed_degree(k, "open")
+        if g.min_degree >= need:
             gamma_total = gamma_xk(g, k, "open")
             domatic_total = d_xk(g, k, "open", gamma=gamma_total)
         else:
-            notes.append(f"open mode skipped: minimum degree {g.min_degree} < k = {k}")
+            notes.append(f"open mode skipped: minimum degree {g.min_degree} < k = {need}")
 
     report = InvariantReport(
         g.n, g.edge_count, g.min_degree, g.max_degree, k,
@@ -98,9 +103,7 @@ def cross_check(g: Graph, report: InvariantReport) -> tuple[str, ...]:
 
     The references have vertex caps, so a graph above them is a ValueError.
     """
-    cap = min(ORACLE_VERTEX_CAP, ORACLE_PARTITION_CAP)
-    if g.n > cap:
-        raise ValueError(f"oracle cross-check needs n <= {cap}, got n = {g.n}")
+    _check_oracle_cap(g)
     mismatches: list[str] = []
     for label, fast, slow_fn, slow_mode in (
         ("gamma", report.gamma, gamma_oracle, "closed"),
@@ -114,3 +117,10 @@ def cross_check(g: Graph, report: InvariantReport) -> tuple[str, ...]:
         if reference.value != fast.value:
             mismatches.append(f"{label}: solver = {fast.value}, oracle = {reference.value}")
     return tuple(mismatches)
+
+
+def _check_oracle_cap(g: Graph) -> None:
+    """Refuse a graph above the references' vertex caps, before any search."""
+    cap = min(ORACLE_VERTEX_CAP, ORACLE_PARTITION_CAP)
+    if g.n > cap:
+        raise ValueError(f"oracle cross-check needs n <= {cap}, got n = {g.n}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -22,6 +23,7 @@ from ktdom import (
     path,
     verify_all,
 )
+from ktdom import bounds
 from strategies import graphs
 
 
@@ -197,3 +199,57 @@ class TestNoViolations:
         for g in sample:
             for k in (1, 2, 3):
                 assert verify_all(g, k).violations == ()
+
+
+class TestPerturbedValues:
+    """A solver value moved by one must turn the check it breaks to violated.
+
+    compute_invariants is replaced by the true report with gamma or d
+    shifted, so every violated branch of the catalogue is reached; the
+    notes fragment pins which branch fired (empty: the plain comparison).
+    """
+
+    CASES = [
+        ("C1", complete(4), 1, "d", 1, ""),
+        ("C1", complete_bipartite(1, 2), 1, "d", 1, "every witness class"),
+        ("C2", complete(4), 1, "d", 1, ""),
+        ("C2", complete_bipartite(2, 2), 1, "d", 1, "forces"),
+        ("C3", complete(3), 3, "d", 1, ""),
+        ("C3", complete(4), 3, "d", 1, "gamma = k - 1"),
+        ("C4", complete_bipartite(2, 2), 3, "d", 1, ""),
+        ("C4", complete_bipartite(2, 2), 2, "d", 1, "only on K_{k-1,k-1}"),
+        ("C5", complete(3), 3, "d", 1, ""),
+        ("C5", complete(3), 3, "gamma", 1, ""),
+        ("C5b", complete(4), 3, "d", 1, ""),
+        ("C6", complete_bipartite(2, 2), 2, "d", 1, ""),
+        ("C7", complete(4), 1, "d", 1, ""),
+        ("C7", path(3), 1, "d", 1, "regular graph"),
+        ("C7", cycle(4), 1, "d", 1, "outside [k-1, 2k-1]"),
+        ("C8", complete(6), 2, "d", -1, ""),
+        ("C9", complete(3), 1, "d", 1, "d_t = 1"),
+        ("C9", complete_bipartite(2, 2), 1, "d", -1, "d_t = 2"),
+        ("C10", complete_bipartite(2, 2), 3, "gamma", -1, ""),
+        ("C10", complete_bipartite(2, 2), 3, "gamma", 1, "must attain equality"),
+        ("C10", complete_bipartite(2, 2), 2, "gamma", -1, "only on K_{k-1,k-1}"),
+        ("C11", cycle(5), 2, "gamma", 1, ""),
+        ("C11", cycle(5), 2, "gamma", -1, ""),
+    ]
+
+    @pytest.mark.parametrize("check_id, g, k, field, shift, notes", CASES,
+                             ids=[f"{c[0]}-{c[3]}{c[4]:+d}-{i}" for i, c in enumerate(CASES)])
+    def test_shifted_value_is_violated(self, monkeypatch, check_id, g, k, field, shift, notes):
+        real = bounds.compute_invariants
+
+        def shifted(graph, kk, *args, **kwargs):
+            report = real(graph, kk, *args, **kwargs)
+            name = "gamma" if field == "gamma" else "domatic"
+            result = getattr(report, name)
+            return dataclasses.replace(report, **{name: dataclasses.replace(result, value=result.value + shift)})
+
+        monkeypatch.setattr(bounds, "compute_invariants", shifted)
+        check = verify_all(g, k).check(check_id)
+        assert check.status == VIOLATED, check
+        if notes:
+            assert notes in check.notes
+        else:
+            assert check.notes == ""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from collections import Counter
@@ -17,6 +18,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def replace_everywhere(monkeypatch, name, replacement):
+    """Swap a ktdom function in every ktdom module that imported it."""
+    original = getattr(ktdom, name)
+    for module in [m for key, m in sys.modules.items() if key.startswith("ktdom")]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+    return original
 
 
 class TestGen:
@@ -93,6 +103,27 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "--input", str(graph_file), "--k", "2", "--oracle")
         assert code == 0
         assert json.loads(out)["oracle"]["checked"] is True
+
+    def test_oracle_cap_refused_before_solving(self, tmp_path, monkeypatch, capsys):
+        graph_file = tmp_path / "g.txt"
+        run(capsys, "gen", "gnp", "12", "0.8", "--seed", "7", "-o", str(graph_file))
+        calls = []
+        replace_everywhere(monkeypatch, "gamma_xk", lambda *args, **kwargs: calls.append(args))
+        code, out, err = run(capsys, "compute", "--input", str(graph_file), "--k", "2", "--oracle")
+        assert code == 2
+        assert err == "error: oracle cross-check needs n <= 10, got n = 12\n"
+        assert out == "" and calls == []
+
+    def test_duplicate_edge_warning_names_the_input(self, tmp_path, monkeypatch, capsys):
+        dup = tmp_path / "dup.txt"
+        dup.write_text("n 3\n0 1\n1 0\n1 2\n")
+        code, _, err = run(capsys, "compute", "--input", str(dup), "--k", "1")
+        assert code == 0
+        assert err == f"warning: {dup}: line 3: duplicate edge 1 0 dropped\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(dup.read_text()))
+        code, _, err = run(capsys, "verify", "--input", "-", "--k", "1")
+        assert code == 0
+        assert err == "warning: <stdin>: line 3: duplicate edge 1 0 dropped\n"
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "compute", "--input", "/nonexistent.txt", "--k", "1")
@@ -175,15 +206,11 @@ class TestEnsemble:
         solved = []  # holding each graph keeps its id unique for the run
 
         def spy(name):
-            original = getattr(ktdom, name)
-
             def wrapper(g, k, mode="closed", **kwargs):
                 solved.append((g, name, mode))
                 return original(g, k, mode, **kwargs)
 
-            for module in [m for key, m in sys.modules.items() if key.startswith("ktdom")]:
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, wrapper)
+            original = replace_everywhere(monkeypatch, name, wrapper)
 
         spy("gamma_xk")
         spy("d_xk")
@@ -192,6 +219,15 @@ class TestEnsemble:
         assert code == 0
         counts = Counter((id(g), name, mode) for g, name, mode in solved)
         assert counts and max(counts.values()) == 1, counts
+
+    def test_oracle_cap_refused_before_solving(self, monkeypatch, capsys):
+        calls = []
+        replace_everywhere(monkeypatch, "gamma_xk", lambda *args, **kwargs: calls.append(args))
+        code, out, err = run(capsys, "ensemble", "--model", "gnp", "--n", "11", "--p", "0.5",
+                             "--count", "2", "--seed", "1", "--k", "1", "--oracle")
+        assert code == 2
+        assert err == "error: oracle cross-check needs n <= 10, got n = 11\n"
+        assert out == "" and calls == []
 
     def test_missing_model_param_exits_2(self, capsys):
         code, _, err = run(capsys, "ensemble", "--model", "gnp", "--n", "8",
