@@ -39,13 +39,10 @@ from .domination import (
     kjoin_minimum_size,
 )
 from .graphs import (
-    FAMILIES,
     DuplicateEdgeWarning,
     Graph,
     GraphFormatError,
-    GraphSpec,
     PairingFailureError,
-    build_graph,
     clique_chain,
     complement,
     complete,
@@ -54,7 +51,6 @@ from .graphs import (
     disjoint_union,
     gnp,
     k_join,
-    parse_part,
     path,
     random_regular,
     read_graph,
@@ -66,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHECK_IDS",
-    "FAMILIES",
     "HOLDS",
     "NOT_APPLICABLE",
     "SHARP",
@@ -80,12 +75,10 @@ __all__ = [
     "GammaResult",
     "Graph",
     "GraphFormatError",
-    "GraphSpec",
     "InvariantReport",
     "OracleCapError",
     "PairingFailureError",
     "SearchBounds",
-    "build_graph",
     "check_degree_gate",
     "clique_chain",
     "complement",
@@ -106,7 +99,6 @@ __all__ = [
     "k_join",
     "kjoin_decomposition_exists",
     "kjoin_minimum_size",
-    "parse_part",
     "path",
     "random_regular",
     "read_graph",

@@ -2,10 +2,13 @@
 
 Subcommands: ``gen`` writes a graph as edge-list text, ``compute`` solves the
 invariants of one instance, ``verify`` runs the bound catalogue, and
-``ensemble`` sweeps seeded random instances into a CSV.  Identical
-configuration (including seeds) always produces byte-identical artifacts;
-exit status is 0 on success, 1 when a check is violated or an oracle
-cross-check disagrees, and 2 for configuration or input errors.
+``ensemble`` sweeps seeded random instances into a CSV.  ``gen`` parses a
+family name and its parameters and calls the generator in ``ktdom.graphs``
+itself; ``gen from-file`` reads its input as ``compute`` and ``verify`` do,
+with ``-`` for stdin.  Identical configuration (including seeds) always
+produces byte-identical artifacts; exit status is 0 on success, 1 when a
+check is violated or an oracle cross-check disagrees, and 2 for
+configuration or input errors.
 """
 
 from __future__ import annotations
@@ -18,10 +21,25 @@ import sys
 import warnings
 
 from .bounds import CHECK_IDS, DEFAULT_SCAN_CAP, BoundsReport, verify_all
-from .graphs import GraphSpec, build_graph, parse_part, read_graph, write_graph
+from .graphs import (Graph, clique_chain, complete, complete_bipartite, cycle, disjoint_union, gnp, k_join, path,
+                     random_regular, read_graph, write_graph)
 from .reports import _check_oracle_cap, compute_invariants, cross_check
 
 NA = "NA"
+
+# the families `gen` builds, in the order its help and errors list them
+_FAMILIES = ("complete", "complete-bipartite", "cycle", "path", "disjoint-union", "k-join", "clique-chain", "gnp",
+             "random-regular", "from-file")
+
+# family -> (generator, integer parameter count); these are also the families
+# a disjoint-union or k-join part token such as complete:3 may name
+_INTEGER_FAMILIES = {
+    "complete": (complete, 1),
+    "complete-bipartite": (complete_bipartite, 2),
+    "cycle": (cycle, 1),
+    "path": (path, 1),
+    "clique-chain": (clique_chain, 1),
+}
 
 CSV_COLUMNS = (
     "instance_id",
@@ -75,8 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a graph and write edge-list text")
-    gen.add_argument("family", help="complete, complete-bipartite, cycle, path, clique-chain, "
-                                    "disjoint-union, k-join, gnp, random-regular, from-file")
+    gen.add_argument("family", help=", ".join(_FAMILIES))
     gen.add_argument("params", nargs="*", help="family parameters; compound families take part "
                                                "tokens such as complete:3")
     gen.add_argument("--seed", type=int, default=None, help="seed for random families and seeded joins")
@@ -125,7 +142,7 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _read_input(path: str):
+def _read_input(path: str) -> Graph:
     """Read the edge-list input; a warning about it (a dropped duplicate
     edge) is printed as one line naming the input, not as a source location."""
     source = "<stdin>" if path == "-" else path
@@ -133,29 +150,14 @@ def _read_input(path: str):
         warnings.showwarning = lambda message, *_: print(f"warning: {source}: {message}", file=sys.stderr)
         if path == "-":
             return read_graph(sys.stdin.read())
-        return build_graph(GraphSpec(family="from-file", path=path))
+        if not path:
+            raise ValueError("from-file needs a path")
+        with open(path, encoding="utf-8") as fh:
+            return read_graph(fh.read())
 
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _spec_from_args(args: argparse.Namespace) -> GraphSpec:
-    family = args.family
-    params: list[str] = args.params
-    if family in ("disjoint-union", "k-join"):
-        parts = tuple(parse_part(tok) for tok in params)
-        return GraphSpec(family=family, parts=parts, k=args.join_k, rule=args.join_rule, seed=args.seed)
-    if family == "from-file":
-        if len(params) != 1:
-            raise ValueError("from-file takes exactly one path")
-        return GraphSpec(family=family, path=params[0])
-    if family == "gnp":
-        if len(params) != 2:
-            raise ValueError("gnp takes two parameters: n p")
-        return GraphSpec(family=family, sizes=(_int(params[0]),), p=_float(params[1]), seed=args.seed)
-    sizes = tuple(_int(tok) for tok in params)
-    return GraphSpec(family=family, sizes=sizes, seed=args.seed)
 
 
 def _int(token: str) -> int:
@@ -172,9 +174,69 @@ def _float(token: str) -> float:
         raise ValueError(f"expected a number, got {token!r}") from None
 
 
+def _generate(args: argparse.Namespace) -> Graph:
+    """Build the graph `gen` names.  Every parameter is parsed before its
+    count is checked, and a seed is required before a generator runs."""
+    family, params = args.family, args.params
+    if family in ("disjoint-union", "k-join"):
+        parts = [_part(token) for token in params]
+        if family == "disjoint-union":
+            if not parts:
+                raise ValueError("disjoint-union needs at least one part")
+            return disjoint_union(_integer_family(*part) for part in parts)
+        if len(parts) != 2:
+            raise ValueError("k-join needs exactly two parts")
+        if args.join_k is None:
+            raise ValueError("k-join needs k")
+        g, h = (_integer_family(*part) for part in parts)
+        return k_join(g, h, args.join_k, rule=args.join_rule, seed=args.seed)
+    if family == "from-file":
+        if len(params) != 1:
+            raise ValueError("from-file takes exactly one path")
+        return _read_input(params[0])
+    if family == "gnp":
+        if len(params) != 2:
+            raise ValueError("gnp takes two parameters: n p")
+        n, p = _int(params[0]), _float(params[1])
+        return gnp(n, p, _seed(args))
+    sizes = [_int(token) for token in params]
+    if family == "random-regular":
+        return random_regular(*_arity(family, sizes, 2), _seed(args))
+    if family not in _INTEGER_FAMILIES:
+        raise ValueError(f"unknown family {family!r}, expected one of {', '.join(_FAMILIES)}")
+    return _integer_family(family, sizes)
+
+
+def _part(token: str) -> tuple[str, list[int]]:
+    """Parse a part token such as ``complete:3`` or ``complete-bipartite:2,3``."""
+    name, _, arg = token.partition(":")
+    if name not in _INTEGER_FAMILIES:
+        raise ValueError(f"part {token!r}: family must be one of {', '.join(_INTEGER_FAMILIES)}")
+    try:
+        return name, [int(s) for s in arg.split(",")] if arg else []
+    except ValueError:
+        raise ValueError(f"part {token!r}: sizes must be integers") from None
+
+
+def _integer_family(family: str, sizes: list[int]) -> Graph:
+    make, count = _INTEGER_FAMILIES[family]
+    return make(*_arity(family, sizes, count))
+
+
+def _arity(family: str, sizes: list[int], count: int) -> list[int]:
+    if len(sizes) != count:
+        raise ValueError(f"family {family!r} takes {count} integer parameter(s), got {len(sizes)}")
+    return sizes
+
+
+def _seed(args: argparse.Namespace) -> int:
+    if args.seed is None:
+        raise ValueError(f"{args.family} needs a seed")
+    return args.seed
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    g = build_graph(spec)
+    g = _generate(args)
     header = f"# ktdom gen {args.family}" + ("".join(" " + p for p in args.params)) + "\n"
     _write_text(args.output, header + write_graph(g))
     return 0
@@ -207,8 +269,6 @@ def _instance_seed(master: int, index: int) -> int:
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
-    from .graphs import gnp, random_regular
-
     if args.count < 1:
         raise ValueError("count must be positive")
     if args.model == "gnp":

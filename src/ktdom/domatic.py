@@ -133,16 +133,15 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int) -> list[int] 
     (N[v] or N(v)), the per-class hit counts, the undecided coverage, and
     the total deficit sum(max(0, k - hits)); each undecided cover vertex can
     repair at most one unit of one class, so deficit > undecided prunes.
+    num_classes must not exceed degree_ceiling(g, k, mode), so that every
+    cover holds at least k * num_classes vertices.
     """
     covers = covers_for(g, mode)
     n = g.n
     cover_bits = [bit_list(c) for c in covers]
-    cover_sizes = [c.bit_count() for c in covers]
-    if any(size < k * num_classes for size in cover_sizes):
-        return None
     color = [-1] * n
     counts = [[0] * num_classes for _ in range(n)]
-    undecided = cover_sizes[:]
+    undecided = [len(bits) for bits in cover_bits]
     deficit = [k * num_classes] * n
 
     def assign(v: int, c: int) -> bool:
@@ -220,7 +219,7 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     return DomaticResult(floor, fallback, bounds)
 
 
-def d_oracle(g: Graph, k: int, mode: str = "closed", cap: int = ORACLE_PARTITION_CAP) -> DomaticResult:
+def d_oracle(g: Graph, k: int, mode: str = "closed") -> DomaticResult:
     """Brute-force reference: enumerate set partitions of V restricted to
     class counts 2..degree ceiling, keep the best valid one, else 1.
 
@@ -228,8 +227,8 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", cap: int = ORACLE_PARTITION
     case-split membership test on plain sets.  Hard error above the cap.
     """
     check_degree_gate(g, k, mode)
-    if g.n > cap:
-        raise OracleCapError(f"oracle refuses n={g.n} > cap={cap}")
+    if g.n > ORACLE_PARTITION_CAP:
+        raise OracleCapError(f"oracle refuses n={g.n} > cap={ORACLE_PARTITION_CAP}")
     n = g.n
     bounds = _search_bounds(g, k, mode, gamma_oracle(g, k, mode))
     nbrs = [set(g.neighbors(v)) for v in range(n)]

@@ -235,15 +235,15 @@ def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
     return GammaResult(best_size, bit_list(best_mask), mode, k, nodes)
 
 
-def gamma_oracle(g: Graph, k: int, mode: str = "closed", cap: int = ORACLE_VERTEX_CAP) -> GammaResult:
+def gamma_oracle(g: Graph, k: int, mode: str = "closed") -> GammaResult:
     """Brute-force reference: subsets by increasing cardinality, first hit wins.
 
     Independent of the branch-and-bound path: plain set arithmetic against
     the literal case-split definition.  Hard error above the vertex cap.
     """
     check_degree_gate(g, k, mode)
-    if g.n > cap:
-        raise OracleCapError(f"oracle refuses n={g.n} > cap={cap}")
+    if g.n > ORACLE_VERTEX_CAP:
+        raise OracleCapError(f"oracle refuses n={g.n} > cap={ORACLE_VERTEX_CAP}")
     n = g.n
     nbrs = [set(g.neighbors(v)) for v in range(n)]
     checked = 0

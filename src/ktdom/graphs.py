@@ -3,6 +3,8 @@
 Vertices are dense integers 0..n-1.  Each adjacency row is a Python int used
 as a bitset, so neighbourhood intersections reduce to ``&`` followed by
 ``bit_count()``; every solver in this package leans on that representation.
+Each family is a plain generator function; the command line maps family
+names and their parameters onto these functions itself.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import random
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 PAIRING_RETRY_BUDGET = 1000
@@ -243,106 +244,6 @@ def random_regular(n: int, r: int, seed: int) -> Graph:
 def complement(g: Graph) -> Graph:
     """Complement graph on the same vertex set."""
     return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)])
-
-
-# ---------------------------------------------------------------------------
-# declarative construction (used by the CLI and ensemble runner)
-
-FAMILIES = (
-    "complete",
-    "complete-bipartite",
-    "cycle",
-    "path",
-    "disjoint-union",
-    "k-join",
-    "clique-chain",
-    "gnp",
-    "random-regular",
-    "from-file",
-)
-
-# families whose part tokens may appear inside disjoint-union / k-join
-_SIMPLE_FAMILIES = ("complete", "complete-bipartite", "cycle", "path", "clique-chain")
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """Declarative recipe for one graph instance.
-
-    ``sizes`` carries the integer parameters of the family (n, or side sizes,
-    or the regular degree as second entry).  Random families require a seed.
-    """
-
-    family: str
-    sizes: tuple[int, ...] = ()
-    p: float | None = None
-    seed: int | None = None
-    k: int | None = None
-    rule: str = "all"
-    parts: tuple["GraphSpec", ...] = ()
-    path: str | None = None
-
-
-def parse_part(token: str) -> GraphSpec:
-    """Parse a compact part token such as ``complete:3`` or ``cycle:5``."""
-    name, _, arg = token.partition(":")
-    if name not in _SIMPLE_FAMILIES:
-        raise ValueError(f"part {token!r}: family must be one of {', '.join(_SIMPLE_FAMILIES)}")
-    try:
-        sizes = tuple(int(s) for s in arg.split(",")) if arg else ()
-    except ValueError:
-        raise ValueError(f"part {token!r}: sizes must be integers") from None
-    return GraphSpec(family=name, sizes=sizes)
-
-
-def build_graph(spec: GraphSpec) -> Graph:
-    """Materialise a GraphSpec; raises ValueError on bad parameters."""
-    fam = spec.family
-    if fam == "complete":
-        return complete(*_arity(spec, 1))
-    if fam == "complete-bipartite":
-        return complete_bipartite(*_arity(spec, 2))
-    if fam == "cycle":
-        return cycle(*_arity(spec, 1))
-    if fam == "path":
-        return path(*_arity(spec, 1))
-    if fam == "clique-chain":
-        return clique_chain(*_arity(spec, 1))
-    if fam == "disjoint-union":
-        if not spec.parts:
-            raise ValueError("disjoint-union needs at least one part")
-        return disjoint_union(build_graph(part) for part in spec.parts)
-    if fam == "k-join":
-        if len(spec.parts) != 2:
-            raise ValueError("k-join needs exactly two parts")
-        if spec.k is None:
-            raise ValueError("k-join needs k")
-        g, h = (build_graph(part) for part in spec.parts)
-        return k_join(g, h, spec.k, rule=spec.rule, seed=spec.seed)
-    if fam == "gnp":
-        (n,) = _arity(spec, 1)
-        if spec.p is None:
-            raise ValueError("gnp needs an edge probability p")
-        if spec.seed is None:
-            raise ValueError("gnp needs a seed")
-        return gnp(n, spec.p, spec.seed)
-    if fam == "random-regular":
-        n, r = _arity(spec, 2)
-        if spec.seed is None:
-            raise ValueError("random-regular needs a seed")
-        return random_regular(n, r, spec.seed)
-    if fam == "from-file":
-        if not spec.path:
-            raise ValueError("from-file needs a path")
-        with open(spec.path, encoding="utf-8") as fh:
-            return read_graph(fh.read())
-    raise ValueError(f"unknown family {fam!r}, expected one of {', '.join(FAMILIES)}")
-
-
-def _arity(spec: GraphSpec, count: int) -> tuple[int, ...]:
-    if len(spec.sizes) != count:
-        raise ValueError(f"family {spec.family!r} takes {count} integer parameter(s), got {len(spec.sizes)}")
-    return spec.sizes
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,25 @@ from __future__ import annotations
 
 import io
 import json
+import shlex
 import sys
 from collections import Counter
 
 import pytest
 
 import ktdom
-from ktdom import complete, cycle, disjoint_union, k_join, path, read_graph
+from ktdom import (
+    clique_chain,
+    complete,
+    complete_bipartite,
+    cycle,
+    disjoint_union,
+    gnp,
+    k_join,
+    path,
+    random_regular,
+    read_graph,
+)
 from ktdom.cli import CSV_COLUMNS, main
 
 
@@ -27,6 +39,30 @@ def replace_everywhere(monkeypatch, name, replacement):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, replacement)
     return original
+
+
+# `ktdom gen` parameters (shell words) and the generator call they must match
+GENERATOR_CASES = [
+    ("complete-bipartite 2 3", complete_bipartite(2, 3)),
+    ("clique-chain 2", clique_chain(2)),
+    ("disjoint-union complete-bipartite:2,3 path:1", disjoint_union([complete_bipartite(2, 3), path(1)])),
+    ("random-regular 8 3 --seed 3", random_regular(8, 3, 3)),
+    ("gnp 8 0.5 --seed 3", gnp(8, 0.5, 3)),
+]
+
+# `ktdom gen` parameters that exit 2, and a part of the error they print
+REJECTED_CASES = [
+    ("complete 3 4", "family 'complete' takes 1 integer parameter(s), got 2"),
+    ("disjoint-union gnp:5", "family must be one of"),
+    ("disjoint-union cycle:x", "sizes must be integers"),
+    ("gnp 8 1.5 --seed 1", "edge probability"),
+    ("random-regular 8 3", "random-regular needs a seed"),
+    ("k-join path:2", "two parts"),
+    ("k-join path:2 path:2", "needs k"),
+    ("disjoint-union", "at least one part"),
+    ("from-file", "exactly one path"),
+    ("from-file ''", "from-file needs a path"),
+]
 
 
 class TestGen:
@@ -84,6 +120,18 @@ class TestGen:
         assert code == 2
         assert "integer" in err
 
+    @pytest.mark.parametrize("params, expected", GENERATOR_CASES, ids=[params for params, _ in GENERATOR_CASES])
+    def test_family_matches_its_generator(self, capsys, params, expected):
+        code, out, err = run(capsys, "gen", *shlex.split(params))
+        assert (code, err) == (0, "")
+        assert read_graph(out) == expected
+
+    @pytest.mark.parametrize("params, message", REJECTED_CASES, ids=[params for params, _ in REJECTED_CASES])
+    def test_bad_parameters_exit_2(self, capsys, params, message):
+        code, out, err = run(capsys, "gen", *shlex.split(params))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
 
 class TestCompute:
     def test_json_report(self, tmp_path, capsys):
@@ -120,10 +168,14 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--input", str(dup), "--k", "1")
         assert code == 0
         assert err == f"warning: {dup}: line 3: duplicate edge 1 0 dropped\n"
-        monkeypatch.setattr(sys, "stdin", io.StringIO(dup.read_text()))
-        code, _, err = run(capsys, "verify", "--input", "-", "--k", "1")
-        assert code == 0
-        assert err == "warning: <stdin>: line 3: duplicate edge 1 0 dropped\n"
+        code, out, err = run(capsys, "gen", "from-file", str(dup))
+        assert (code, out) == (0, f"# ktdom gen from-file {dup}\nn 3\n0 1\n1 2\n")
+        assert err == f"warning: {dup}: line 3: duplicate edge 1 0 dropped\n"
+        for argv in (("verify", "--input", "-", "--k", "1"), ("gen", "from-file", "-")):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(dup.read_text()))
+            code, _, err = run(capsys, *argv)
+            assert code == 0
+            assert err == "warning: <stdin>: line 3: duplicate edge 1 0 dropped\n"
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "compute", "--input", "/nonexistent.txt", "--k", "1")

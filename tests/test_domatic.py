@@ -22,6 +22,8 @@ from ktdom import (
     path,
     zelinka_partition,
 )
+from ktdom import domatic
+from ktdom.domatic import ORACLE_PARTITION_CAP
 from strategies import graphs
 
 # oracle-derived pairs (graph, k, mode, value); each row is asserted against
@@ -167,14 +169,15 @@ class TestDomaticSolver:
 
 
 class TestDomaticOracle:
-    def test_cap_is_enforced(self):
-        with pytest.raises(OracleCapError):
-            d_oracle(cycle(11), 1)
+    def test_cap_is_enforced(self, monkeypatch):
+        for name in ("gamma_oracle", "satisfies_by_cases"):
+            monkeypatch.setattr(domatic, name, lambda *args: pytest.fail("searched"))
+        with pytest.raises(OracleCapError, match=f"n={ORACLE_PARTITION_CAP + 1} > cap={ORACLE_PARTITION_CAP}"):
+            d_oracle(cycle(ORACLE_PARTITION_CAP + 1), 1)
 
-    def test_cap_is_adjustable(self):
-        assert d_oracle(cycle(6), 1, cap=6).value == 3  # three diagonal pairs
-        with pytest.raises(OracleCapError):
-            d_oracle(cycle(8), 1, cap=6)
+    def test_answers_at_the_cap(self):
+        # d(C_n) at k = 1 is 3 when 3 divides n, else 2
+        assert d_oracle(cycle(ORACLE_PARTITION_CAP), 1).value == (3 if ORACLE_PARTITION_CAP % 3 == 0 else 2)
 
 
 class TestZelinkaConstruction:

@@ -24,6 +24,8 @@ from ktdom import (
     kjoin_minimum_size,
     path,
 )
+from ktdom import domination
+from ktdom.domination import ORACLE_VERTEX_CAP
 from strategies import all_graphs, graphs
 
 # value table derived from the brute-force oracle; every row is re-asserted
@@ -174,14 +176,13 @@ class TestGammaSolver:
 
 
 class TestOracle:
-    def test_cap_is_enforced(self):
-        with pytest.raises(OracleCapError):
-            gamma_oracle(path(21), 1)
+    def test_cap_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(domination, "satisfies_by_cases", lambda *args: pytest.fail("searched"))
+        with pytest.raises(OracleCapError, match=f"n={ORACLE_VERTEX_CAP + 1} > cap={ORACLE_VERTEX_CAP}"):
+            gamma_oracle(path(ORACLE_VERTEX_CAP + 1), 1)
 
-    def test_cap_is_adjustable(self):
-        assert gamma_oracle(path(6), 1, cap=6).value == 2
-        with pytest.raises(OracleCapError):
-            gamma_oracle(path(7), 1, cap=6)
+    def test_answers_at_the_cap(self):
+        assert gamma_oracle(path(ORACLE_VERTEX_CAP), 1).value == -(-ORACLE_VERTEX_CAP // 3)  # ceil(n/3)
 
     def test_respects_gate(self):
         with pytest.raises(DegreeGateError):

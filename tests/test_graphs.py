@@ -9,8 +9,6 @@ from ktdom import (
     DuplicateEdgeWarning,
     Graph,
     GraphFormatError,
-    GraphSpec,
-    build_graph,
     clique_chain,
     complement,
     complete,
@@ -19,7 +17,6 @@ from ktdom import (
     disjoint_union,
     gnp,
     k_join,
-    parse_part,
     path,
     random_regular,
     read_graph,
@@ -166,49 +163,6 @@ class TestFamilies:
     @given(graphs(min_n=2))
     def test_complement_edge_count(self, g):
         assert complement(g).edge_count == g.n * (g.n - 1) // 2 - g.edge_count
-
-
-class TestDeclarativeSpecs:
-    def test_parse_part(self):
-        assert parse_part("complete:4") == GraphSpec(family="complete", sizes=(4,))
-        assert parse_part("complete-bipartite:2,3").sizes == (2, 3)
-        with pytest.raises(ValueError, match="family must be one of"):
-            parse_part("gnp:5")
-        with pytest.raises(ValueError, match="integers"):
-            parse_part("cycle:x")
-
-    def test_build_simple_families(self):
-        assert build_graph(GraphSpec("complete", (4,))) == complete(4)
-        assert build_graph(GraphSpec("cycle", (5,))) == cycle(5)
-        assert build_graph(GraphSpec("clique-chain", (2,))) == clique_chain(2)
-
-    def test_build_compound(self):
-        spec = GraphSpec("disjoint-union", parts=(parse_part("complete:3"), parse_part("cycle:4")))
-        assert build_graph(spec) == disjoint_union([complete(3), cycle(4)])
-        spec = GraphSpec("k-join", parts=(parse_part("path:2"), parse_part("complete:3")), k=2)
-        assert build_graph(spec) == k_join(path(2), complete(3), 2)
-
-    def test_build_random_families(self):
-        assert build_graph(GraphSpec("gnp", (8,), p=0.5, seed=3)) == gnp(8, 0.5, 3)
-        assert build_graph(GraphSpec("random-regular", (8, 3), seed=3)) == random_regular(8, 3, 3)
-
-    @pytest.mark.parametrize(
-        "spec, message",
-        [
-            (GraphSpec("complete", (3, 4)), "integer parameter"),
-            (GraphSpec("gnp", (8,), seed=1), "edge probability"),
-            (GraphSpec("gnp", (8,), p=0.5), "seed"),
-            (GraphSpec("random-regular", (8, 3)), "seed"),
-            (GraphSpec("k-join", parts=(parse_part("path:2"),)), "two parts"),
-            (GraphSpec("k-join", parts=(parse_part("path:2"), parse_part("path:2"))), "needs k"),
-            (GraphSpec("disjoint-union"), "at least one part"),
-            (GraphSpec("moebius", (8,)), "unknown family"),
-            (GraphSpec("from-file"), "path"),
-        ],
-    )
-    def test_build_rejects_bad_specs(self, spec, message):
-        with pytest.raises(ValueError, match=message):
-            build_graph(spec)
 
 
 class TestEdgeListFormat:
