@@ -46,6 +46,7 @@ GENERATOR_CASES = [
     ("complete-bipartite 2 3", complete_bipartite(2, 3)),
     ("clique-chain 2", clique_chain(2)),
     ("disjoint-union complete-bipartite:2,3 path:1", disjoint_union([complete_bipartite(2, 3), path(1)])),
+    ("k-join path:2 complete:3 --join-k 2", k_join(path(2), complete(3), 2)),
     ("random-regular 8 3 --seed 3", random_regular(8, 3, 3)),
     ("gnp 8 0.5 --seed 3", gnp(8, 0.5, 3)),
 ]
@@ -56,12 +57,14 @@ REJECTED_CASES = [
     ("disjoint-union gnp:5", "family must be one of"),
     ("disjoint-union cycle:x", "sizes must be integers"),
     ("gnp 8 1.5 --seed 1", "edge probability"),
+    ("gnp 8 0.5", "gnp needs a seed"),
     ("random-regular 8 3", "random-regular needs a seed"),
     ("k-join path:2", "two parts"),
     ("k-join path:2 path:2", "needs k"),
     ("disjoint-union", "at least one part"),
     ("from-file", "exactly one path"),
     ("from-file ''", "from-file needs a path"),
+    ("moebius 8", "unknown family 'moebius'"),
 ]
 
 
