@@ -12,6 +12,8 @@ sharpness candidates and for eyeballing how the invariants move with k.
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -98,4 +100,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`): stop quietly, as `ktdom` does,
+        # and send what is still buffered to devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

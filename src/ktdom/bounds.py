@@ -63,7 +63,7 @@ def _render(value: object) -> object:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     check_id: str
     statement: str
@@ -83,7 +83,7 @@ class CheckResult:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundsReport:
     """Instance metadata, computed invariants and the check catalogue.
 
@@ -109,7 +109,7 @@ class BoundsReport:
 
     @property
     def violations(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if c.status == VIOLATED)
+        return tuple([c for c in self.checks if c.status == VIOLATED])
 
     def status_counts(self) -> dict[str, int]:
         counts = {HOLDS: 0, SHARP: 0, VIOLATED: 0, NOT_APPLICABLE: 0}
@@ -196,7 +196,7 @@ def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsR
         return BoundsReport(
             n, g.edge_count, delta, Delta, k, regular, bipartite,
             None, None, None, None, None, None,
-            tuple(_na(cid, reason) for cid in CHECK_IDS), inv,
+            tuple([_na(cid, reason) for cid in CHECK_IDS]), inv,
         )
 
     d_res = inv.domatic

@@ -142,16 +142,17 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _read_input(path: str) -> Graph:
+def _read_input(path: str, source_name: str = "--input") -> Graph:
     """Read the edge-list input; a warning about it (a dropped duplicate
-    edge) is printed as one line naming the input, not as a source location."""
+    edge) is printed as one line naming the input, not as a source location.
+    An empty path is refused in the name of the option or family that gave it."""
     source = "<stdin>" if path == "-" else path
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {source}: {message}", file=sys.stderr)
         if path == "-":
             return read_graph(sys.stdin.read())
         if not path:
-            raise ValueError("from-file needs a path")
+            raise ValueError(f"{source_name} needs a path")
         with open(path, encoding="utf-8") as fh:
             return read_graph(fh.read())
 
@@ -193,7 +194,7 @@ def _generate(args: argparse.Namespace) -> Graph:
     if family == "from-file":
         if len(params) != 1:
             raise ValueError("from-file takes exactly one path")
-        return _read_input(params[0])
+        return _read_input(params[0], "from-file")
     if family == "gnp":
         if len(params) != 2:
             raise ValueError("gnp takes two parameters: n p")

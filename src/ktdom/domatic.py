@@ -29,7 +29,7 @@ from .graphs import Graph, bit_list
 ORACLE_PARTITION_CAP = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomaticPartition:
     """Partition certificate: classes as sorted tuples, ordered by minimum."""
 
@@ -41,7 +41,7 @@ class DomaticPartition:
         return {"k": self.k, "mode": self.mode, "classes": [list(c) for c in self.classes]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchBounds:
     """Bounds that framed a domatic search.
 
@@ -63,7 +63,7 @@ class SearchBounds:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomaticResult:
     value: int
     witness: DomaticPartition
@@ -124,65 +124,150 @@ def _search_bounds(g: Graph, k: int, mode: str, gamma: GammaResult) -> SearchBou
 # exact maximum
 
 
-def _find_partition(g: Graph, k: int, mode: str, num_classes: int) -> list[int] | None:
-    """Backtracking colouring into num_classes k-tuple dominating classes.
+def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -> list[int] | None:
+    """Colour V into num_classes k-tuple dominating classes, or return None.
 
-    Vertices are coloured in id order; vertex 0 is pinned to class 0 and a
-    new class may only be opened in ascending order, which kills class
-    permutation symmetry.  Per vertex we track, against its coverage mask
-    (N[v] or N(v)), the per-class hit counts, the undecided coverage, and
-    the total deficit sum(max(0, k - hits)); each undecided cover vertex can
-    repair at most one unit of one class, so deficit > undecided prunes.
+    Per vertex x we track, against its coverage mask (N[x] or N(x)), the
+    per-class hit counts, the undecided coverage, and the deficit
+    sum(max(0, k - hits)).  The search is fail-first, as in DSATUR: it picks
+    the vertex w with the least slack (undecided coverage minus deficit;
+    ties go to the larger deficit, then the lower id), colours the
+    uncoloured vertex of w's cover that touches the most deficient vertices,
+    and tries first the classes still short at w, then those that fill the
+    most unmet (vertex, class) demands, then by id.  A vertex joins an
+    opened class or opens the next one, which kills class permutation
+    symmetry; once every deficit is met the rest join class 0.
+
+    Two rules prune.  Each undecided cover vertex repairs at most one unit
+    of one class, so deficit > undecided fails.  Class c still needs
+    max(gamma - |c|, max_x(k - hits of c at x), 0) members, where gamma is
+    the minimum size of a k-tuple dominating set, so a sum of needs above
+    the uncoloured count fails.  The search runs on an explicit stack.
     num_classes must not exceed degree_ceiling(g, k, mode), so that every
     cover holds at least k * num_classes vertices.
     """
-    covers = covers_for(g, mode)
     n = g.n
-    cover_bits = [bit_list(c) for c in covers]
+    cover_bits = [bit_list(c) for c in covers_for(g, mode)]
     color = [-1] * n
     counts = [[0] * num_classes for _ in range(n)]
     undecided = [len(bits) for bits in cover_bits]
     deficit = [k * num_classes] * n
+    size = [0] * num_classes
+    # level[c][h]: the vertices with exactly h < k hits of class c
+    level = [[n] + [0] * (k - 1) for _ in range(num_classes)]
+    need = [gamma] * num_classes  # an empty class needs gamma >= k members
+    spare = n - sum(need)  # uncoloured vertices minus the summed class needs
+    opened = 0
+
+    def class_need(c: int) -> int:
+        lc = level[c]
+        h = 0
+        while h < k and not lc[h]:
+            h += 1
+        return max(gamma - size[c], k - h)
 
     def assign(v: int, c: int) -> bool:
+        nonlocal spare, opened
+        color[v] = c
+        size[c] += 1
+        if c == opened:
+            opened += 1
         ok = True
+        lc = level[c]
         for u in cover_bits[v]:
             undecided[u] -= 1
             cu = counts[u]
-            if cu[c] < k:
+            h = cu[c]
+            cu[c] = h + 1
+            if h < k:
+                lc[h] -= 1
+                if h + 1 < k:
+                    lc[h + 1] += 1
                 deficit[u] -= 1
-            cu[c] += 1
             if deficit[u] > undecided[u]:
                 ok = False
-        return ok
+        was = need[c]
+        need[c] = class_need(c)
+        spare += was - need[c] - 1
+        return ok and spare >= 0
 
     def unassign(v: int, c: int) -> None:
-        for u in cover_bits[v]:
-            cu = counts[u]
-            cu[c] -= 1
-            if cu[c] < k:
-                deficit[u] += 1
-            undecided[u] += 1
-
-    def dfs(v: int, opened: int) -> bool:
-        if v == n:
-            return True
-        for c in range(min(opened + 1, num_classes)):
-            color[v] = c
-            if assign(v, c) and dfs(v + 1, max(opened, c + 1)):
-                return True
-            unassign(v, c)
+        nonlocal spare, opened
         color[v] = -1
-        return False
+        size[c] -= 1
+        if not size[c]:
+            opened = c
+        lc = level[c]
+        for u in cover_bits[v]:
+            undecided[u] += 1
+            cu = counts[u]
+            h = cu[c] - 1
+            cu[c] = h
+            if h < k:
+                lc[h] += 1
+                if h + 1 < k:
+                    lc[h + 1] -= 1
+                deficit[u] += 1
+        was = need[c]
+        need[c] = class_need(c)
+        spare += was - need[c] + 1
 
-    return color if dfs(0, 0) else None
+    stack: list[list] = []  # frames [vertex, classes in the order to try, next index]
+    while True:
+        # the tightest vertex w: least slack, then largest deficit, then lowest id
+        w = -1
+        w_slack = w_deficit = 0
+        for x in range(n):
+            dx = deficit[x]
+            if dx:
+                sx = undecided[x] - dx
+                if w < 0 or sx < w_slack or (sx == w_slack and dx > w_deficit):
+                    w, w_slack, w_deficit = x, sx, dx
+        if w < 0:
+            return [max(c, 0) for c in color]
+        # colour the uncoloured vertex of w's cover that touches the most deficient vertices
+        v = -1
+        touched = -1
+        for u in cover_bits[w]:
+            if color[u] < 0:
+                t = 0
+                for x in cover_bits[u]:
+                    if deficit[x]:
+                        t += 1
+                if t > touched:
+                    v, touched = u, t
+        # classes short at w first, then those meeting the most unmet demands
+        hits_w = counts[w]
+        keyed = []
+        for c in range(min(opened + 1, num_classes)):
+            gain = 0
+            for x in cover_bits[v]:
+                if counts[x][c] < k:
+                    gain += 1
+            keyed.append((hits_w[c] >= k, -gain, c))
+        keyed.sort()
+        stack.append([v, [c for _, _, c in keyed], 0])
+        # try the next class of the top frame, backtracking over exhausted frames
+        while stack:
+            frame = stack[-1]
+            v, order, i = frame
+            if i:
+                unassign(v, order[i - 1])
+            if i == len(order):
+                stack.pop()
+                continue
+            frame[2] = i + 1
+            if assign(v, order[i]):
+                break
+        else:
+            return None
 
 
 def _classes_from_coloring(color: list[int], num_classes: int) -> tuple[tuple[int, ...], ...]:
     classes: list[list[int]] = [[] for _ in range(num_classes)]
     for v, c in enumerate(color):
         classes[c].append(v)
-    return tuple(tuple(cls) for cls in classes)
+    return tuple([tuple(cls) for cls in classes])
 
 
 def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = None) -> DomaticResult:
@@ -212,7 +297,7 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
         floor = bounds.zelinka_floor
         fallback = zelinka_partition(g, k)
     for count in range(upper, floor, -1):
-        color = _find_partition(g, k, mode, count)
+        color = _find_partition(g, k, mode, count, gamma.value)
         if color is not None:
             witness = DomaticPartition(_classes_from_coloring(color, count), k, mode)
             return DomaticResult(count, witness, bounds)
@@ -257,8 +342,11 @@ def d_oracle(g: Graph, k: int, mode: str = "closed") -> DomaticResult:
                 rec(v + 1)
                 blocks.pop()
 
-        rec(0)
-    witness = DomaticPartition(tuple(tuple(b) for b in best_blocks), k, mode)
+        try:
+            rec(0)
+        finally:
+            del rec  # it refers to itself; drop that cycle instead of leaving it to the collector
+    witness = DomaticPartition(tuple([tuple(b) for b in best_blocks]), k, mode)
     return DomaticResult(best_count, witness, bounds)
 
 

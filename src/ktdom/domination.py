@@ -135,7 +135,7 @@ def is_ktuple_total_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
 # exact minimum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GammaResult:
     """Minimum cardinality plus a witness set and search statistics."""
 
@@ -231,7 +231,10 @@ def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
             demand[u] += 1
         explore(idx + 1, chosen, count, rest)
 
-    explore(0, 0, 0, (1 << n) - 1)
+    try:
+        explore(0, 0, 0, (1 << n) - 1)
+    finally:
+        del explore  # it refers to itself; drop that cycle instead of leaving it to the collector
     return GammaResult(best_size, bit_list(best_mask), mode, k, nodes)
 
 
@@ -298,7 +301,10 @@ def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | No
             return found
         return dfs(pos + 1, chosen, count)
 
-    mask = dfs(0, 0, 0)
+    try:
+        mask = dfs(0, 0, 0)
+    finally:
+        del dfs  # it refers to itself; drop that cycle instead of leaving it to the collector
     return None if mask is None else bit_list(mask)
 
 

@@ -38,8 +38,15 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def bit_list(mask: int) -> tuple[int, ...]:
-    """Set bit positions of mask as a sorted tuple."""
-    return tuple(iter_bits(mask))
+    """Set bit positions of mask as a sorted tuple.
+
+    Built from a list, whose length is known.  A tuple built from a
+    generator is allocated at a guessed size and then resized, so when it
+    dies it is parked on the interpreter's free list for a size that such
+    calls never take from; those lists are emptied only by a full
+    collection, so each call would leave a tuple behind.
+    """
+    return tuple(list(iter_bits(mask)))
 
 
 class Graph:
@@ -65,8 +72,8 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
-        self.closed = tuple(a | (1 << v) for v, a in enumerate(adj))
-        self.deg = tuple(a.bit_count() for a in adj)
+        self.closed = tuple([a | (1 << v) for v, a in enumerate(adj)])
+        self.deg = tuple([a.bit_count() for a in adj])
 
     @property
     def min_degree(self) -> int:

@@ -13,7 +13,7 @@ from .domination import ORACLE_VERTEX_CAP, GammaResult, _needed_degree, gamma_or
 from .graphs import Graph
 
 
-@dataclass
+@dataclass(slots=True)
 class InvariantReport:
     """Computed invariants with witnesses; None where the degree gate fails."""
 

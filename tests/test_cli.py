@@ -180,6 +180,11 @@ class TestCompute:
             assert code == 0
             assert err == "warning: <stdin>: line 3: duplicate edge 1 0 dropped\n"
 
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    def test_empty_input_path_names_the_option(self, capsys, command):
+        code, out, err = run(capsys, command, "--input", "", "--k", "1")
+        assert (code, out, err) == (2, "", "error: --input needs a path\n")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "compute", "--input", "/nonexistent.txt", "--k", "1")
         assert code == 2

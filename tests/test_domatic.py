@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +14,14 @@ from ktdom import (
     DomaticPartition,
     OracleCapError,
     clique_chain,
+    complement,
     complete,
     complete_bipartite,
     cycle,
     d_oracle,
     d_xk,
     gamma_xk,
+    gnp,
     is_domatic_partition,
     is_ktuple_dominating,
     path,
@@ -24,6 +29,7 @@ from ktdom import (
 )
 from ktdom import domatic
 from ktdom.domatic import ORACLE_PARTITION_CAP
+from reference_colouring import id_order_d
 from strategies import graphs
 
 # oracle-derived pairs (graph, k, mode, value); each row is asserted against
@@ -166,6 +172,48 @@ class TestDomaticSolver:
             d_xk(path(4), 3)
         with pytest.raises(DegreeGateError):
             d_xk(path(4), 2, "open")
+
+
+class TestFailFirstSearch:
+    @pytest.mark.parametrize(
+        "g, mode, expected",
+        [
+            # pairs of cycle neighbours such as {0,1},{2,3},... reach the ceiling
+            (complement(cycle(16)), "closed", 8),
+            (complement(cycle(17)), "closed", 8),
+            (gnp(16, 0.9, 7), "closed", 11),
+            (gnp(16, 0.9, 7), "open", 8),
+        ],
+        ids=["co-C16", "co-C17", "gnp(16,0.9,7)-closed", "gnp(16,0.9,7)-open"],
+    )
+    def test_dense_values(self, g, mode, expected):
+        res = d_xk(g, 1, mode)
+        assert res.value == expected
+        assert is_domatic_partition(g, res.witness)
+
+    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    @pytest.mark.parametrize("p", [0.5, 0.7])
+    def test_matches_id_order_colouring(self, n, p):
+        # beyond the partition oracle's cap: the old id-order search is the reference
+        for seed in (1, 2, 3):
+            g = gnp(n, p, seed)
+            for k in (1, 2):
+                for mode in ("closed", "open"):
+                    if g.min_degree < (k - 1 if mode == "closed" else k):
+                        continue
+                    assert d_xk(g, k, mode).value == id_order_d(g, k, mode), (seed, k, mode)
+
+    def test_search_depth_is_not_bounded_by_recursion(self):
+        # 60 vertices are coloured one below the other on an explicit stack
+        g = complement(cycle(60))
+        gamma = gamma_xk(g, 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            res = d_xk(g, 1, gamma=gamma)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res.value == 30
 
 
 class TestDomaticOracle:

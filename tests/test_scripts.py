@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 @pytest.mark.parametrize(
@@ -25,3 +28,26 @@ def test_script_runs(monkeypatch, capsys, script, argv, header):
     runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
     assert out.startswith(header), out[:200]
+
+
+@pytest.mark.parametrize(
+    "script, argv",
+    [
+        ("family_sharpness.py", ["--max-size", "8", "--max-k", "3"]),
+        ("small_graph_census.py", ["--max-n", "4", "--k", "1"]),
+    ],
+    ids=["family_sharpness", "small_graph_census"],
+)
+def test_closed_pipe_ends_quietly(script, argv):
+    # unbuffered, so that every row after the first meets the closed pipe at once
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-u", str(SCRIPTS / script), *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    finally:
+        proc.stderr.close()
+        proc.wait()
+    assert (proc.returncode, err) == (0, "")
