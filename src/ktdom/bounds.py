@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domatic import d_xk, degree_ceiling, zelinka_floor
-from .domination import _needed_degree, kjoin_minimum_size, vertex_mask
+from .domination import _needed_degree, kjoin_decomposition_exists, vertex_mask
 from .graphs import Graph, complement
 from .reports import InvariantReport, compute_invariants
 
@@ -54,7 +54,7 @@ _STATEMENTS = {
 
 CHECK_IDS = tuple(_STATEMENTS)
 
-DEFAULT_SCAN_CAP = 16
+SCAN_CAP = 16  # the C11 search is exponential in n
 
 
 def _render(value: object) -> object:
@@ -176,12 +176,11 @@ def _compare(check_id: str, lhs, rhs, sharp_ok: bool = True, sharp_notes: str = 
     return _result(check_id, lhs, rhs, VIOLATED, broken_notes)
 
 
-def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsReport:
+def verify_all(g: Graph, k: int) -> BoundsReport:
     """Evaluate every catalogue check for one (graph, k) pair.
 
     Degree-gate failures mark the affected checks not-applicable instead of
-    aborting, so batch callers always get a full report.  ``scan_cap`` caps
-    the exhaustive exact-size scan behind C11.
+    aborting, so batch callers always get a full report.
     """
     inv = compute_invariants(g, k)
     n = g.n
@@ -349,13 +348,17 @@ def verify_all(g: Graph, k: int, *, scan_cap: int = DEFAULT_SCAN_CAP) -> BoundsR
     else:
         checks.append(_compare("C10", gamma, 2 * k - 2, signature, *_SIGNATURE_NOTES, lower=True))
 
-    # C11
-    if n > scan_cap:
-        checks.append(_na("C11", f"exact-size scan skipped for n = {n} > cap = {scan_cap}"))
+    # C11: supersets of valid sets are valid, so walk to the minimum from
+    # gamma (two probes when C11 holds); no valid set is smaller than k.
+    if n > SCAN_CAP:
+        checks.append(_na("C11", f"exact-size scan skipped for n = {n} > cap = {SCAN_CAP}"))
     else:
-        smallest = kjoin_minimum_size(g, k)
-        status = HOLDS if smallest == gamma else VIOLATED
-        checks.append(_result("C11", smallest, gamma, status))
+        smallest = min(gamma, n)
+        while kjoin_decomposition_exists(g, k, smallest) is None:
+            smallest += 1
+        while smallest > k and kjoin_decomposition_exists(g, k, smallest - 1) is not None:
+            smallest -= 1
+        checks.append(_result("C11", smallest, gamma, HOLDS if smallest == gamma else VIOLATED))
 
     return BoundsReport(
         n, g.edge_count, delta, Delta, k, regular, bipartite,

@@ -20,7 +20,7 @@ import json
 import sys
 import warnings
 
-from .bounds import CHECK_IDS, DEFAULT_SCAN_CAP, BoundsReport, verify_all
+from .bounds import CHECK_IDS, BoundsReport, verify_all
 from .graphs import (Graph, clique_chain, complete, complete_bipartite, cycle, disjoint_union, gnp, k_join, path,
                      random_regular, read_graph, write_graph)
 from .reports import _check_oracle_cap, compute_invariants, cross_check
@@ -113,8 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the bound catalogue on one graph")
     verify.add_argument("--input", required=True, help="edge-list file, '-' for stdin")
     verify.add_argument("--k", type=int, required=True)
-    verify.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP,
-                        help="vertex cap for the exhaustive exact-size scan (C11)")
     verify.add_argument("--report", default="-", help="report path, '-' for stdout")
     verify.set_defaults(handler=_cmd_verify)
 
@@ -256,7 +254,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _read_input(args.input)
-    report = verify_all(g, args.k, scan_cap=args.scan_cap)
+    report = verify_all(g, args.k)
     _write_text(args.report, _json_text(report.to_dict()))
     if report.violations:
         for check in report.violations:

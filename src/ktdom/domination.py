@@ -155,14 +155,14 @@ class GammaResult:
         }
 
 
-def _greedy_upper(g: Graph, k: int, covers: tuple[int, ...]) -> int:
+def _greedy_upper(g: Graph, k: int, cover_bits: list[tuple[int, ...]]) -> int:
     """Greedy feasible set: repeatedly add the vertex meeting the most unmet
-    demand, ties broken by vertex id.  Returns a mask; only an upper bound."""
+    demand, ties broken by vertex id.  ``cover_bits`` lists each vertex's
+    cover.  Returns a mask; only an upper bound."""
     n = g.n
     demand = [k] * n
     unmet = n
     chosen = 0
-    cover_bits = [bit_list(c) for c in covers]
     while unmet:
         best_v = -1
         best_gain = 0
@@ -197,7 +197,7 @@ def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
     order = sorted(range(n), key=lambda v: (g.deg[v], v))
     cover_bits = [bit_list(c) for c in covers]
 
-    incumbent_mask = _greedy_upper(g, k, covers)
+    incumbent_mask = _greedy_upper(g, k, cover_bits)
     best_size = incumbent_mask.bit_count()
     best_mask = incumbent_mask
 
@@ -280,32 +280,34 @@ def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | No
     cover_bits = [bit_list(c) for c in covers]
     demand = [k] * n
     full = (1 << n) - 1
-
-    def dfs(pos: int, chosen: int, count: int) -> int | None:
-        remaining = t - count
+    # Id-order branching, taking a vertex before leaving it out.  Leaving out
+    # is a node's last branch, so the stack holds only the vertices taken.
+    taken: list[int] = []  # ascending
+    pos = 0
+    while True:
+        remaining = t - len(taken)
         if remaining == 0:
-            return chosen if all(d <= 0 for d in demand) else None
-        if n - pos < remaining:
+            if all(d <= 0 for d in demand):
+                return tuple(taken)
+        elif n - pos >= remaining:
+            undecided = full >> pos << pos
+            for u in range(n):
+                du = demand[u]
+                if du > remaining or du > (covers[u] & undecided).bit_count():
+                    break
+            else:
+                for u in cover_bits[pos]:
+                    demand[u] -= 1
+                taken.append(pos)
+                pos += 1
+                continue
+        # a dead end: leave out the last vertex taken instead
+        if not taken:
             return None
-        undecided = full >> pos << pos
-        for u in range(n):
-            du = demand[u]
-            if du > remaining or du > (covers[u] & undecided).bit_count():
-                return None
-        for u in cover_bits[pos]:
-            demand[u] -= 1
-        found = dfs(pos + 1, chosen | (1 << pos), count + 1)
-        for u in cover_bits[pos]:
+        v = taken.pop()
+        for u in cover_bits[v]:
             demand[u] += 1
-        if found is not None:
-            return found
-        return dfs(pos + 1, chosen, count)
-
-    try:
-        mask = dfs(0, 0, 0)
-    finally:
-        del dfs  # it refers to itself; drop that cycle instead of leaving it to the collector
-    return None if mask is None else bit_list(mask)
+        pos = v + 1
 
 
 def kjoin_minimum_size(g: Graph, k: int) -> int:

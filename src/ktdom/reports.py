@@ -70,27 +70,19 @@ def compute_invariants(
     if with_oracle:
         _check_oracle_cap(g)
     notes: list[str] = []
-    gamma = domatic = gamma_total = domatic_total = None
+    solved: list[GammaResult | DomaticResult | None] = []  # gamma and d per mode, closed first
+    for m, need_text in (("closed", "k-1"), ("open", "k")):
+        gamma = domatic = None
+        need = _needed_degree(k, m)
+        if mode in (m, "both"):
+            if g.min_degree >= need:
+                gamma = gamma_xk(g, k, m)
+                domatic = d_xk(g, k, m, gamma=gamma)
+            else:
+                notes.append(f"{m} mode skipped: minimum degree {g.min_degree} < {need_text} = {need}")
+        solved += (gamma, domatic)
 
-    if mode in ("closed", "both"):
-        need = _needed_degree(k, "closed")
-        if g.min_degree >= need:
-            gamma = gamma_xk(g, k, "closed")
-            domatic = d_xk(g, k, "closed", gamma=gamma)
-        else:
-            notes.append(f"closed mode skipped: minimum degree {g.min_degree} < k-1 = {need}")
-    if mode in ("open", "both"):
-        need = _needed_degree(k, "open")
-        if g.min_degree >= need:
-            gamma_total = gamma_xk(g, k, "open")
-            domatic_total = d_xk(g, k, "open", gamma=gamma_total)
-        else:
-            notes.append(f"open mode skipped: minimum degree {g.min_degree} < k = {need}")
-
-    report = InvariantReport(
-        g.n, g.edge_count, g.min_degree, g.max_degree, k,
-        gamma, domatic, gamma_total, domatic_total, tuple(notes),
-    )
+    report = InvariantReport(g.n, g.edge_count, g.min_degree, g.max_degree, k, *solved, tuple(notes))
     if with_oracle:
         report.oracle_checked = True
         report.oracle_mismatches = cross_check(g, report)

@@ -174,11 +174,22 @@ class TestIndividualChecks:
     def test_exact_size_scan_agrees(self):
         assert verify_all(cycle(5), 2).check("C11").status == HOLDS
 
+    def test_exact_size_scan_probes_gamma_and_one_below(self, monkeypatch):
+        probed = []
+        real = bounds.kjoin_decomposition_exists
+
+        def spy(g, k, t):
+            probed.append(t)
+            return real(g, k, t)
+
+        monkeypatch.setattr(bounds, "kjoin_decomposition_exists", spy)
+        assert verify_all(cycle(5), 2).check("C11").status == HOLDS
+        assert probed == [4, 3]  # gamma = 4 has a set, 3 has none
+
     def test_exact_size_scan_capped(self):
-        g = gnp(17, 0.5, 1)
-        report = verify_all(g, 1)
+        report = verify_all(gnp(17, 0.5, 1), 1)
         assert report.check("C11").status == NOT_APPLICABLE
-        assert verify_all(g, 1, scan_cap=17).check("C11").status == HOLDS
+        assert report.check("C11").notes == "exact-size scan skipped for n = 17 > cap = 16"
 
 
 class TestNoViolations:
@@ -253,3 +264,5 @@ class TestPerturbedValues:
             assert notes in check.notes
         else:
             assert check.notes == ""
+        if check_id == "C11":  # the walk from the shifted gamma still ends at the true one
+            assert check.lhs == real(g, k).gamma.value

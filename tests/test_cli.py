@@ -207,15 +207,6 @@ class TestVerify:
         assert payload["status_counts"]["violated"] == 0
         assert "violated" not in err
 
-    def test_scan_cap_forwarded(self, tmp_path, capsys):
-        graph_file = tmp_path / "g.txt"
-        run(capsys, "gen", "gnp", "17", "0.5", "--seed", "1", "-o", str(graph_file))
-        code, out, _ = run(capsys, "verify", "--input", str(graph_file), "--k", "1",
-                           "--scan-cap", "17")
-        assert code == 0
-        checks = {c["check_id"]: c["status"] for c in json.loads(out)["checks"]}
-        assert checks["C11"] == "holds"
-
     def test_malformed_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+import sys
 from itertools import chain, combinations
 
 import pytest
@@ -200,6 +202,16 @@ class TestExactSizeScan:
 
     def test_below_minimum_has_no_witness(self):
         assert kjoin_decomposition_exists(cycle(5), 2, 3) is None  # minimum is 4
+
+    def test_search_depth_is_not_bounded_by_recursion(self):
+        # 50 vertices are taken one below the other on an explicit stack
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            found = kjoin_decomposition_exists(complete(60), 1, 50)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert found == tuple(range(50))
 
     def test_size_bounds_validated(self):
         with pytest.raises(ValueError, match="at least"):

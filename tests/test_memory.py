@@ -8,12 +8,12 @@ interpreter: ``PYTHONPATH=src python tests/test_memory.py``.
 from __future__ import annotations
 
 import gc
-import tracemalloc
+import sys
 
 from ktdom import d_xk, gamma_xk, gnp, verify_all
 
 ROUNDS = 200
-GROWTH_LIMIT = 64 * 1024  # bytes; the solvers used to leave about 1 MB over the rounds
+BLOCK_LIMIT = 1000  # allocated blocks; the solvers used to leave about 7,000 over the rounds
 
 
 def test_repeated_solves_keep_memory_flat():
@@ -21,16 +21,12 @@ def test_repeated_solves_keep_memory_flat():
     gamma_xk(g, 1)
     d_xk(g, 2)
     gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in range(ROUNDS):
-            gamma_xk(g, 1)
-            d_xk(g, 2)
-        growth = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert growth < GROWTH_LIMIT, f"traced memory grew by {growth} bytes over {ROUNDS} rounds"
+    before = sys.getallocatedblocks()
+    for _ in range(ROUNDS):
+        gamma_xk(g, 1)
+        d_xk(g, 2)
+    growth = sys.getallocatedblocks() - before
+    assert growth < BLOCK_LIMIT, f"allocated blocks grew by {growth} over {ROUNDS} rounds"
 
 
 def test_verify_all_leaves_no_garbage_cycles():
