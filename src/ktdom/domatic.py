@@ -124,30 +124,32 @@ def _search_bounds(g: Graph, k: int, mode: str, gamma: GammaResult) -> SearchBou
 # exact maximum
 
 
-def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -> list[int] | None:
+def _find_partition(
+    g: Graph, k: int, cover_bits: list[tuple[int, ...]], num_classes: int, gamma: int
+) -> list[int] | None:
     """Colour V into num_classes k-tuple dominating classes, or return None.
 
-    Per vertex x we track, against its coverage mask (N[x] or N(x)), the
-    per-class hit counts, the undecided coverage, and the deficit
-    sum(max(0, k - hits)).  The search is fail-first, as in DSATUR: it picks
-    the vertex w with the least slack (undecided coverage minus deficit;
-    ties go to the larger deficit, then the lower id), colours the
-    uncoloured vertex of w's cover that touches the most deficient vertices,
-    and tries first the classes still short at w, then those that fill the
-    most unmet (vertex, class) demands, then by id.  A vertex joins an
-    opened class or opens the next one, which kills class permutation
-    symmetry; once every deficit is met the rest join class 0.
+    ``cover_bits`` lists each vertex's cover, N[x] in closed mode and N(x) in
+    open mode.  Per vertex x we track, against its cover, the per-class hit
+    counts, the undecided coverage, and the deficit sum(max(0, k - hits)).
+    The search is fail-first, as in DSATUR: it picks the vertex w with the
+    least slack (undecided coverage minus deficit; ties go to the larger
+    deficit, then the lower id), colours the uncoloured vertex of w's cover
+    that touches the most deficient vertices, and tries first the classes
+    still short at w, then those that fill the most unmet (vertex, class)
+    demands, then by id.  A vertex joins an opened class or opens the next
+    one, which kills class permutation symmetry; once every deficit is met
+    the rest join class 0.
 
     Two rules prune.  Each undecided cover vertex repairs at most one unit
     of one class, so deficit > undecided fails.  Class c still needs
     max(gamma - |c|, max_x(k - hits of c at x), 0) members, where gamma is
     the minimum size of a k-tuple dominating set, so a sum of needs above
     the uncoloured count fails.  The search runs on an explicit stack.
-    num_classes must not exceed degree_ceiling(g, k, mode), so that every
+    num_classes must not exceed the mode's degree_ceiling, so that every
     cover holds at least k * num_classes vertices.
     """
     n = g.n
-    cover_bits = [bit_list(c) for c in covers_for(g, mode)]
     color = [-1] * n
     counts = [[0] * num_classes for _ in range(n)]
     undecided = [len(bits) for bits in cover_bits]
@@ -296,8 +298,9 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     if bounds.zelinka_floor >= 2:
         floor = bounds.zelinka_floor
         fallback = zelinka_partition(g, k)
+    cover_bits = [bit_list(c) for c in covers_for(g, mode)]
     for count in range(upper, floor, -1):
-        color = _find_partition(g, k, mode, count, gamma.value)
+        color = _find_partition(g, k, cover_bits, count, gamma.value)
         if color is not None:
             witness = DomaticPartition(_classes_from_coloring(color, count), k, mode)
             return DomaticResult(count, witness, bounds)

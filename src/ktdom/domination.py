@@ -184,58 +184,82 @@ def _greedy_upper(g: Graph, k: int, cover_bits: list[tuple[int, ...]]) -> int:
 def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
     """Exact minimum cardinality of a k-tuple (total) dominating set.
 
-    Branch and bound over vertices in ascending degree order.  Each vertex v
-    carries a residual demand (k minus its current in-set coverage); a branch
-    dies when some demand exceeds what the undecided vertices could still
-    supply, or when |chosen| plus the largest demand cannot beat the
-    incumbent.  The incumbent starts from a greedy pass, so the reported
-    value is exact even when the greedy set is already optimal.
+    Branch and bound over vertices in ascending degree order, taking a
+    vertex before leaving it out.  Each vertex v carries a residual demand
+    (k minus its current in-set coverage).  Three rules prune a branch: some
+    demand exceeds what the undecided vertices could still supply;
+    |chosen| + the largest demand cannot beat the incumbent; or |chosen| +
+    ceil(total demand / most) cannot, where most is the largest number of
+    still-demanding vertices that one undecided vertex covers (the counting
+    bound gamma >= ceil(kn / (Delta + 1)) applied to the residual instance).
+    The incumbent starts from a greedy pass, so the reported value is exact
+    even when the greedy set is already optimal.  The search runs on an
+    explicit stack of the vertices taken, so its depth is not bounded by the
+    recursion limit.
     """
     check_degree_gate(g, k, mode)
     covers = covers_for(g, mode)
     n = g.n
     order = sorted(range(n), key=lambda v: (g.deg[v], v))
     cover_bits = [bit_list(c) for c in covers]
+    ordered_covers = [covers[v] for v in order]
+    # undecided[i]: the vertices order[i:], still undecided at depth i
+    undecided = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        undecided[i] = undecided[i + 1] | 1 << order[i]
 
-    incumbent_mask = _greedy_upper(g, k, cover_bits)
-    best_size = incumbent_mask.bit_count()
-    best_mask = incumbent_mask
+    best_mask = _greedy_upper(g, k, cover_bits)
+    best_size = best_mask.bit_count()
 
     demand = [k] * n
     nodes = 0
-
-    def explore(idx: int, chosen: int, count: int, undecided: int) -> None:
-        nonlocal nodes, best_size, best_mask
+    # Leaving a vertex out is a node's last branch, so the stack holds only
+    # the depths at which a vertex was taken.
+    taken: list[int] = []  # ascending
+    chosen = 0
+    depth = 0
+    while True:
         nodes += 1
-        worst = 0
+        free = undecided[depth]
+        total = worst = needy = 0
         for v in range(n):
             dv = demand[v]
             if dv > 0:
-                if dv > (covers[v] & undecided).bit_count():
-                    return
+                if dv > (covers[v] & free).bit_count():
+                    break
+                total += dv
+                needy |= 1 << v
                 if dv > worst:
                     worst = dv
-        if worst == 0:
-            if count < best_size:
-                best_size, best_mask = count, chosen
-            return
-        if count + worst >= best_size:
-            return
-        v = order[idx]
-        vbit = 1 << v
-        rest = undecided ^ vbit
-        for u in cover_bits[v]:
-            demand[u] -= 1
-        explore(idx + 1, chosen | vbit, count + 1, rest)
+        else:
+            count = len(taken)
+            if not total:
+                if count < best_size:
+                    best_size, best_mask = count, chosen
+            elif count + worst < best_size:
+                # most >= 1: every demanding vertex has an undecided vertex covering it
+                most = 0
+                for i in range(depth, n):
+                    hit = (ordered_covers[i] & needy).bit_count()
+                    if hit > most:
+                        most = hit
+                if count - (-total // most) < best_size:
+                    v = order[depth]
+                    for u in cover_bits[v]:
+                        demand[u] -= 1
+                    chosen |= 1 << v
+                    taken.append(depth)
+                    depth += 1
+                    continue
+        # a dead end: leave out the last vertex taken instead
+        if not taken:
+            return GammaResult(best_size, bit_list(best_mask), mode, k, nodes)
+        depth = taken.pop()
+        v = order[depth]
         for u in cover_bits[v]:
             demand[u] += 1
-        explore(idx + 1, chosen, count, rest)
-
-    try:
-        explore(0, 0, 0, (1 << n) - 1)
-    finally:
-        del explore  # it refers to itself; drop that cycle instead of leaving it to the collector
-    return GammaResult(best_size, bit_list(best_mask), mode, k, nodes)
+        chosen ^= 1 << v
+        depth += 1
 
 
 def gamma_oracle(g: Graph, k: int, mode: str = "closed") -> GammaResult:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import inspect
 import sys
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +19,14 @@ from ktdom import (
     disjoint_union,
     gamma_oracle,
     gamma_xk,
+    gnp,
     is_ktuple_dominating,
     is_ktuple_dominating_by_cases,
     is_ktuple_total_dominating,
     kjoin_decomposition_exists,
     kjoin_minimum_size,
     path,
+    random_regular,
 )
 from ktdom import domination
 from ktdom.domination import ORACLE_VERTEX_CAP
@@ -48,6 +50,27 @@ FROZEN_GAMMA = [
 def test_frozen_values_match_solver_and_oracle(g, k, mode, expected):
     assert gamma_xk(g, k, mode).value == expected
     assert gamma_oracle(g, k, mode).value == expected
+
+
+def _beyond_hypothesis(cycles_and_paths, regular, unions, dense, mode):
+    """Seeded sparse graphs past the hypothesis range of n <= 6, with every k
+    in 1..3 that passes the mode's degree gate."""
+    named = [(f"C{n}", cycle(n)) for n in cycles_and_paths] + [(f"P{n}", path(n)) for n in cycles_and_paths]
+    named += [(f"rr3({n},{s})", random_regular(n, 3, s)) for n, s in regular]
+    named += [(f"K3*{a}+K4*{b}", disjoint_union([complete(3)] * a + [complete(4)] * b)) for a, b in unions]
+    named += [(f"gnp({n},{p},{s})", gnp(n, p, s)) for n, p, s in dense]
+    need = 1 if mode == "closed" else 0
+    return [pytest.param(g, k, id=f"{name} k={k}") for name, g in named for k in (1, 2, 3) if g.min_degree >= k - need]
+
+
+CLOSED_BEYOND = _beyond_hypothesis(
+    (17, 20, 24), [(16, 1), (20, 2), (22, 3)], [(6, 0), (0, 5), (4, 3)],
+    [(18, 0.3, 1), (20, 0.25, 2), (22, 0.2, 3), (24, 0.3, 4), (24, 0.2, 5)], "closed",
+)
+OPEN_BEYOND = _beyond_hypothesis(
+    (12, 14), [(12, 1), (14, 2)], [(4, 0), (0, 3), (2, 2)],
+    [(12, 0.3, 1), (13, 0.25, 2), (14, 0.3, 3), (14, 0.2, 4)], "open",
+)
 
 
 class TestPredicates:
@@ -175,6 +198,43 @@ class TestGammaSolver:
         second = gamma_xk(g, 2)
         assert first.witness == second.witness
         assert first.nodes_explored == second.nodes_explored
+
+    @pytest.mark.parametrize("g, k", CLOSED_BEYOND)
+    def test_closed_matches_exact_size_scan_beyond_hypothesis(self, g, k):
+        res = gamma_xk(g, k)
+        assert res.value == kjoin_minimum_size(g, k)
+        assert len(res.witness) == res.value and is_ktuple_dominating(g, res.witness, k)
+
+    @pytest.mark.parametrize("g, k", OPEN_BEYOND)
+    def test_open_matches_oracle_beyond_hypothesis(self, g, k):
+        res = gamma_xk(g, k, "open")
+        assert res.value == gamma_oracle(g, k, "open").value
+        assert len(res.witness) == res.value and is_ktuple_total_dominating(g, res.witness, k)
+
+    @pytest.mark.parametrize("n", range(36, 61, 6))
+    def test_long_cycles_match_closed_forms(self, n):
+        # the counting bound meets the greedy value at the root in closed mode
+        one = gamma_xk(cycle(n), 1)
+        assert (one.value, one.nodes_explored) == (-(-n // 3), 1)
+        assert gamma_xk(cycle(n), 2).value == -(-2 * n // 3)
+        assert gamma_xk(cycle(n), 1, "open").value == n // 2 + -(-n // 4) - n // 4
+
+    @pytest.mark.parametrize("m, k", [
+        pytest.param(m, k, id=f"K3*{m} k={k}") for m, k in [*product((10, 20, 40), (1, 2, 3)), (400, 2)]
+    ])
+    def test_disjoint_triangles_are_decided_at_the_root(self, m, k):
+        res = gamma_xk(disjoint_union([complete(3)] * m), k)
+        assert (res.value, res.nodes_explored) == (k * m, 1)
+
+    def test_search_depth_is_not_bounded_by_recursion(self):
+        # the search takes vertices one below the other on an explicit stack
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            res = gamma_xk(cycle(54), 1, "open")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.value, res.nodes_explored) == (28, 401)
 
 
 class TestOracle:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import gc
 import sys
 
-from ktdom import d_xk, gamma_xk, gnp, verify_all
+from ktdom import d_xk, gamma_xk, gnp, random_regular, verify_all
 
 ROUNDS = 200
 BLOCK_LIMIT = 1000  # allocated blocks; the solvers used to leave about 7,000 over the rounds
@@ -18,12 +18,15 @@ BLOCK_LIMIT = 1000  # allocated blocks; the solvers used to leave about 7,000 ov
 
 def test_repeated_solves_keep_memory_flat():
     g = gnp(14, 0.8, 7)
+    sparse = random_regular(24, 3, 2)  # its open-mode gamma search goes deep
     gamma_xk(g, 1)
+    gamma_xk(sparse, 1, "open")
     d_xk(g, 2)
     gc.collect()
     before = sys.getallocatedblocks()
     for _ in range(ROUNDS):
         gamma_xk(g, 1)
+        gamma_xk(sparse, 1, "open")
         d_xk(g, 2)
     growth = sys.getallocatedblocks() - before
     assert growth < BLOCK_LIMIT, f"allocated blocks grew by {growth} over {ROUNDS} rounds"
@@ -33,6 +36,7 @@ def test_verify_all_leaves_no_garbage_cycles():
     g = gnp(12, 0.6, 3)
     gc.collect()
     verify_all(g, 1)
+    gamma_xk(random_regular(24, 3, 2), 1, "open")
     assert gc.collect() == 0
 
 
