@@ -16,7 +16,6 @@ from .domination import (
     OracleCapError,
     _check_mode,
     check_degree_gate,
-    covers_for,
     gamma_oracle,
     gamma_xk,
     is_ktuple_dominating,
@@ -24,7 +23,7 @@ from .domination import (
     satisfies_by_cases,
     vertex_mask,
 )
-from .graphs import Graph, bit_list
+from .graphs import Graph
 
 ORACLE_PARTITION_CAP = 10
 
@@ -124,14 +123,12 @@ def _search_bounds(g: Graph, k: int, mode: str, gamma: GammaResult) -> SearchBou
 # exact maximum
 
 
-def _find_partition(
-    g: Graph, k: int, cover_bits: list[tuple[int, ...]], num_classes: int, gamma: int
-) -> list[int] | None:
+def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -> list[int] | None:
     """Colour V into num_classes k-tuple dominating classes, or return None.
 
-    ``cover_bits`` lists each vertex's cover, N[x] in closed mode and N(x) in
-    open mode.  Per vertex x we track, against its cover, the per-class hit
-    counts, the undecided coverage, and the deficit sum(max(0, k - hits)).
+    A vertex's cover is N[x] in closed mode and N(x) in open mode.  Per
+    vertex x we track, against its cover, the per-class hit counts, the
+    undecided coverage, and the deficit sum(max(0, k - hits)).
     The search is fail-first, as in DSATUR: it picks the vertex w with the
     least slack (undecided coverage minus deficit; ties go to the larger
     deficit, then the lower id), colours the uncoloured vertex of w's cover
@@ -150,6 +147,7 @@ def _find_partition(
     cover holds at least k * num_classes vertices.
     """
     n = g.n
+    cover_bits = g.cover_lists(mode)
     color = [-1] * n
     counts = [[0] * num_classes for _ in range(n)]
     undecided = [len(bits) for bits in cover_bits]
@@ -298,9 +296,8 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     if bounds.zelinka_floor >= 2:
         floor = bounds.zelinka_floor
         fallback = zelinka_partition(g, k)
-    cover_bits = [bit_list(c) for c in covers_for(g, mode)]
     for count in range(upper, floor, -1):
-        color = _find_partition(g, k, cover_bits, count, gamma.value)
+        color = _find_partition(g, k, mode, count, gamma.value)
         if color is not None:
             witness = DomaticPartition(_classes_from_coloring(color, count), k, mode)
             return DomaticResult(count, witness, bounds)

@@ -68,11 +68,6 @@ def check_degree_gate(g: Graph, k: int, mode: str) -> None:
         raise DegreeGateError(g.min_degree, k, mode)
 
 
-def covers_for(g: Graph, mode: str) -> tuple[int, ...]:
-    """Per-vertex coverage masks: N[v] in closed mode, N(v) in open mode."""
-    return g.closed if mode == "closed" else g.adj
-
-
 def vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
     """Bitmask of a vertex subset; rejects out-of-range ids."""
     mask = 0
@@ -155,29 +150,30 @@ class GammaResult:
         }
 
 
-def _greedy_upper(g: Graph, k: int, cover_bits: list[tuple[int, ...]]) -> int:
+def _greedy_upper(g: Graph, k: int, mode: str) -> int:
     """Greedy feasible set: repeatedly add the vertex meeting the most unmet
-    demand, ties broken by vertex id.  ``cover_bits`` lists each vertex's
-    cover.  Returns a mask; only an upper bound."""
-    n = g.n
-    demand = [k] * n
-    unmet = n
+    demand, ties broken by vertex id.  Returns a mask; only an upper bound.
+
+    A vertex's gain, the demanding vertices in its cover, is kept up to date
+    instead of recounted: covers are symmetric, so when u's demand is met
+    every vertex in u's cover loses one.  A chosen vertex's gain is negative.
+    """
+    cover_bits = g.cover_lists(mode)
+    demand = [k] * g.n
+    gain = [len(bits) for bits in cover_bits]
+    unmet = g.n
     chosen = 0
     while unmet:
-        best_v = -1
-        best_gain = 0
-        for v in range(n):
-            if chosen >> v & 1:
-                continue
-            gain = sum(1 for u in cover_bits[v] if demand[u] > 0)
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        # the degree gate guarantees progress: V itself is feasible
+        # the degree gate guarantees progress: V itself is feasible, so the best gain is positive
+        best_v = gain.index(max(gain))
         chosen |= 1 << best_v
+        gain[best_v] = -1
         for u in cover_bits[best_v]:
             demand[u] -= 1
             if demand[u] == 0:
                 unmet -= 1
+                for w in cover_bits[u]:
+                    gain[w] -= 1
     return chosen
 
 
@@ -198,17 +194,17 @@ def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
     recursion limit.
     """
     check_degree_gate(g, k, mode)
-    covers = covers_for(g, mode)
+    covers = g.covers(mode)
+    cover_bits = g.cover_lists(mode)
     n = g.n
     order = sorted(range(n), key=lambda v: (g.deg[v], v))
-    cover_bits = [bit_list(c) for c in covers]
     ordered_covers = [covers[v] for v in order]
     # undecided[i]: the vertices order[i:], still undecided at depth i
     undecided = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         undecided[i] = undecided[i + 1] | 1 << order[i]
 
-    best_mask = _greedy_upper(g, k, cover_bits)
+    best_mask = _greedy_upper(g, k, mode)
     best_size = best_mask.bit_count()
 
     demand = [k] * n
@@ -301,7 +297,7 @@ def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | No
         raise ValueError(f"t={t} exceeds the vertex count {g.n}")
     n = g.n
     covers = g.closed
-    cover_bits = [bit_list(c) for c in covers]
+    cover_bits = g.cover_lists("closed")
     demand = [k] * n
     full = (1 << n) - 1
     # Id-order branching, taking a vertex before leaving it out.  Leaving out

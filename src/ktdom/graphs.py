@@ -16,6 +16,12 @@ from typing import Iterable, Iterator
 
 PAIRING_RETRY_BUDGET = 1000
 
+# The largest vertex count read_graph accepts.  A header alone fixes the
+# closed rows, row v holding v + 1 bits, so n vertices cost about n**2 / 16
+# bytes before any edge is read: about 6 MB here, against 248 MB at 60,000.
+# The exact solvers are exponential and stall far below this count.
+MAX_READ_VERTICES = 10_000
+
 
 class GraphFormatError(ValueError):
     """Malformed edge-list text."""
@@ -54,10 +60,13 @@ class Graph:
 
     ``adj[v]`` holds the open neighbourhood N(v) as a bitmask and
     ``closed[v]`` the closed neighbourhood N[v] (adj[v] with bit v set).
-    Instances are immutable after construction; all attributes are tuples.
+    The graph never changes after construction: n, adj, closed and deg are
+    tuples.  The only slots that change are a per-mode cache of each
+    vertex's cover as a sorted tuple (see cover_lists), None until a solver
+    first asks for it; equality and hashing read only n and adj.
     """
 
-    __slots__ = ("n", "adj", "closed", "deg")
+    __slots__ = ("n", "adj", "closed", "deg", "_closed_lists", "_open_lists")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -74,6 +83,7 @@ class Graph:
         self.adj = tuple(adj)
         self.closed = tuple([a | (1 << v) for v, a in enumerate(adj)])
         self.deg = tuple([a.bit_count() for a in adj])
+        self._closed_lists = self._open_lists = None  # see cover_lists
 
     @property
     def min_degree(self) -> int:
@@ -91,7 +101,26 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return bit_list(self.adj[v])
+        return self.cover_lists("open")[v]
+
+    def covers(self, mode: str) -> tuple[int, ...]:
+        """Per-vertex cover masks: N[v] in closed mode, N(v) in open mode."""
+        return self.closed if mode == "closed" else self.adj
+
+    def cover_lists(self, mode: str) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's cover (see covers) as a sorted tuple of vertex ids.
+
+        Built on the first call for a mode and kept, so every search on
+        this graph shares one copy.  Lazy: building them in the constructor
+        doubled the time to build a graph, and graphs that are only compared
+        or combined into others never need them.
+        """
+        slot = "_closed_lists" if mode == "closed" else "_open_lists"
+        lists = getattr(self, slot)
+        if lists is None:
+            lists = tuple([bit_list(c) for c in self.covers(mode)])
+            setattr(self, slot, lists)
+        return lists
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
@@ -280,6 +309,8 @@ def read_graph(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
             if n < 1:
                 raise GraphFormatError(f"line {lineno}: vertex count must be positive")
+            if n > MAX_READ_VERTICES:
+                raise GraphFormatError(f"line {lineno}: vertex count exceeds the limit of {MAX_READ_VERTICES}")
             continue
         if len(tokens) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from ktdom import Graph, check_degree_gate, gamma_xk
 from ktdom.domatic import degree_ceiling
-from ktdom.domination import covers_for
-from ktdom.graphs import bit_list
 
 
 def id_order_partition(g: Graph, k: int, mode: str, num_classes: int) -> list[int] | None:
     """A colouring into num_classes k-tuple dominating classes, or None;
     num_classes must not exceed degree_ceiling(g, k, mode)."""
     n = g.n
-    cover_bits = [bit_list(c) for c in covers_for(g, mode)]
+    cover_bits = g.cover_lists(mode)
     color = [-1] * n
     counts = [[0] * num_classes for _ in range(n)]
     undecided = [len(bits) for bits in cover_bits]

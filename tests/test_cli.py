@@ -185,6 +185,14 @@ class TestCompute:
         code, out, err = run(capsys, command, "--input", "", "--k", "1")
         assert (code, out, err) == (2, "", "error: --input needs a path\n")
 
+    def test_oversized_header_exits_2(self, tmp_path, capsys):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("n 100000000000000000000\n")
+        code, out, err = run(capsys, "compute", "--input", str(huge), "--k", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeds the limit" in err and "Traceback" not in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "compute", "--input", "/nonexistent.txt", "--k", "1")
         assert code == 2

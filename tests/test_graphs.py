@@ -22,6 +22,7 @@ from ktdom import (
     read_graph,
     write_graph,
 )
+from ktdom.graphs import bit_list
 from strategies import graphs
 
 
@@ -58,6 +59,16 @@ class TestGraph:
         assert a == b and hash(a) == hash(b)
         assert a != Graph(3, [(0, 2)])
         assert a != Graph(4, [(0, 1)])
+
+    @given(graphs())
+    def test_cover_lists_are_built_once(self, g):
+        twin = Graph(g.n, g.edges())  # its lists are never built
+        unbuilt = hash(g)
+        for mode in ("closed", "open"):
+            lists = g.cover_lists(mode)
+            assert list(lists) == [bit_list(mask) for mask in g.covers(mode)]
+            assert g.cover_lists(mode) is lists
+        assert g == twin and hash(g) == hash(twin) == unbuilt
 
     def test_degree_summary(self):
         g = path(4)
@@ -187,6 +198,7 @@ class TestEdgeListFormat:
             ("0 1\n", "expected header"),
             ("n x\n", "not an integer"),
             ("n 0\n", "positive"),
+            ("n 100000000000000000000\n", "exceeds the limit"),
             ("n 3\n0 1 2\n", "expected 'u v'"),
             ("n 3\n0 a\n", "integers"),
             ("n 3\n1 1\n", "self-loop"),
