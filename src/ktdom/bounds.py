@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domatic import d_xk, degree_ceiling, zelinka_floor
-from .domination import _needed_degree, kjoin_decomposition_exists, vertex_mask
+from .domination import _needed_degree, kjoin_minimum_size, vertex_mask
 from .graphs import Graph, complement
 from .reports import InvariantReport, compute_invariants
 
@@ -348,16 +348,11 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
     else:
         checks.append(_compare("C10", gamma, 2 * k - 2, signature, *_SIGNATURE_NOTES, lower=True))
 
-    # C11: supersets of valid sets are valid, so walk to the minimum from
-    # gamma (two probes when C11 holds); no valid set is smaller than k.
+    # C11: walk to the exact-size minimum from gamma (two probes when C11 holds)
     if n > SCAN_CAP:
         checks.append(_na("C11", f"exact-size scan skipped for n = {n} > cap = {SCAN_CAP}"))
     else:
-        smallest = min(gamma, n)
-        while kjoin_decomposition_exists(g, k, smallest) is None:
-            smallest += 1
-        while smallest > k and kjoin_decomposition_exists(g, k, smallest - 1) is not None:
-            smallest -= 1
+        smallest = kjoin_minimum_size(g, k, gamma)
         checks.append(_result("C11", smallest, gamma, HOLDS if smallest == gamma else VIOLATED))
 
     return BoundsReport(

@@ -131,12 +131,11 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
     undecided coverage, and the deficit sum(max(0, k - hits)).
     The search is fail-first, as in DSATUR: it picks the vertex w with the
     least slack (undecided coverage minus deficit; ties go to the larger
-    deficit, then the lower id), colours the uncoloured vertex of w's cover
-    that touches the most deficient vertices, and tries first the classes
-    still short at w, then those that fill the most unmet (vertex, class)
-    demands, then by id.  A vertex joins an opened class or opens the next
-    one, which kills class permutation symmetry; once every deficit is met
-    the rest join class 0.
+    deficit, then the lower id), colours the lowest-id uncoloured vertex of
+    w's cover, and tries first the classes still short at w, then the rest,
+    each group in id order; nothing below the choice of w is scored.  A
+    vertex joins an opened class or opens the next one, which kills class
+    permutation symmetry; once every deficit is met the rest join class 0.
 
     Two rules prune.  Each undecided cover vertex repairs at most one unit
     of one class, so deficit > undecided fails.  Class c still needs
@@ -225,28 +224,14 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
                     w, w_slack, w_deficit = x, sx, dx
         if w < 0:
             return [max(c, 0) for c in color]
-        # colour the uncoloured vertex of w's cover that touches the most deficient vertices
-        v = -1
-        touched = -1
-        for u in cover_bits[w]:
-            if color[u] < 0:
-                t = 0
-                for x in cover_bits[u]:
-                    if deficit[x]:
-                        t += 1
-                if t > touched:
-                    v, touched = u, t
-        # classes short at w first, then those meeting the most unmet demands
+        # colour the lowest-id uncoloured vertex of w's cover (0 < deficit <= undecided, so one
+        # exists), trying the classes short at w first
+        for v in cover_bits[w]:
+            if color[v] < 0:
+                break
         hits_w = counts[w]
-        keyed = []
-        for c in range(min(opened + 1, num_classes)):
-            gain = 0
-            for x in cover_bits[v]:
-                if counts[x][c] < k:
-                    gain += 1
-            keyed.append((hits_w[c] >= k, -gain, c))
-        keyed.sort()
-        stack.append([v, [c for _, _, c in keyed], 0])
+        classes = range(min(opened + 1, num_classes))
+        stack.append([v, [c for c in classes if hits_w[c] < k] + [c for c in classes if hits_w[c] >= k], 0])
         # try the next class of the top frame, backtracking over exhausted frames
         while stack:
             frame = stack[-1]

@@ -198,7 +198,7 @@ def test_criterion_7_exact_size_characterization():
             if g.min_degree < k - 1:
                 continue
             compared += 1
-            smallest = kjoin_minimum_size(g, k)
+            smallest = kjoin_minimum_size(g, k, k - 1)
             reference = gamma_xk(g, k).value
             if smallest != reference:
                 mismatches.append((g.n, g.edges(), k, smallest, reference))

@@ -23,7 +23,7 @@ from ktdom import (
     path,
     verify_all,
 )
-from ktdom import bounds
+from ktdom import bounds, domination
 from strategies import graphs
 
 
@@ -176,13 +176,13 @@ class TestIndividualChecks:
 
     def test_exact_size_scan_probes_gamma_and_one_below(self, monkeypatch):
         probed = []
-        real = bounds.kjoin_decomposition_exists
+        real = domination.kjoin_decomposition_exists
 
         def spy(g, k, t):
             probed.append(t)
             return real(g, k, t)
 
-        monkeypatch.setattr(bounds, "kjoin_decomposition_exists", spy)
+        monkeypatch.setattr(domination, "kjoin_decomposition_exists", spy)
         assert verify_all(cycle(5), 2).check("C11").status == HOLDS
         assert probed == [4, 3]  # gamma = 4 has a set, 3 has none
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import signal
 import sys
 
 import pytest
@@ -202,6 +203,24 @@ class TestFailFirstSearch:
                     if g.min_degree < (k - 1 if mode == "closed" else k):
                         continue
                     assert d_xk(g, k, mode).value == id_order_d(g, k, mode), (seed, k, mode)
+
+    def test_complement_of_sparse_gnp_is_decided(self):
+        # the complement solve inside verify_all(gnp(24, 0.3, 7), 1); a slow search shows as a stall
+        def out_of_time(signum, frame):
+            raise TimeoutError
+
+        g = complement(gnp(24, 0.3, 7))
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.setitimer(signal.ITIMER_REAL, 30)
+        try:
+            res = d_xk(g, 1)
+        except TimeoutError:
+            pytest.fail("d_xk(complement(gnp(24, 0.3, 7)), 1) undecided after 30 s")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert res.value == 10
+        assert is_domatic_partition(g, res.witness)
 
     def test_search_depth_is_not_bounded_by_recursion(self):
         # 60 vertices are coloured one below the other on an explicit stack

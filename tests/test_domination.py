@@ -202,7 +202,7 @@ class TestGammaSolver:
     @pytest.mark.parametrize("g, k", CLOSED_BEYOND)
     def test_closed_matches_exact_size_scan_beyond_hypothesis(self, g, k):
         res = gamma_xk(g, k)
-        assert res.value == kjoin_minimum_size(g, k)
+        assert res.value == kjoin_minimum_size(g, k, k - 1)
         assert len(res.witness) == res.value and is_ktuple_dominating(g, res.witness, k)
 
     @pytest.mark.parametrize("g, k", OPEN_BEYOND)
@@ -284,14 +284,36 @@ class TestExactSizeScan:
         with pytest.raises(DegreeGateError):
             kjoin_decomposition_exists(complete(2), 3, 2)
 
+    def test_minimum_size_probes_each_size_once(self, monkeypatch):
+        probed = []
+        real = domination.kjoin_decomposition_exists
+
+        def spy(g, k, t):
+            probed.append(t)
+            return real(g, k, t)
+
+        monkeypatch.setattr(domination, "kjoin_decomposition_exists", spy)
+        for start, probes in ((1, [1, 2, 3, 4]), (5, [5, 4, 3]), (9, [5, 4, 3])):
+            probed.clear()
+            assert kjoin_minimum_size(cycle(5), 2, start) == 4
+            assert probed == probes, start
+
+    @staticmethod
+    def _starts(g, k, gamma):
+        # the upward scan from k - 1, one below gamma, gamma itself, one above, and n
+        return (k - 1, gamma - 1, gamma, gamma + 1, g.n)
+
     def test_minimum_size_equals_gamma(self):
         for g, k, mode, expected in FROZEN_GAMMA:
             if mode == "closed":
-                assert kjoin_minimum_size(g, k) == expected
+                for start in self._starts(g, k, expected):
+                    assert kjoin_minimum_size(g, k, start) == expected, (g.n, k, start)
 
     @given(graphs(max_n=6), st.integers(1, 3))
     @settings(max_examples=200)
     def test_minimum_size_equals_gamma_random(self, g, k):
         if g.min_degree < k - 1:
             return
-        assert kjoin_minimum_size(g, k) == gamma_xk(g, k).value
+        gamma = gamma_xk(g, k).value
+        for start in self._starts(g, k, gamma):
+            assert kjoin_minimum_size(g, k, start) == gamma, start
