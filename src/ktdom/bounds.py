@@ -240,8 +240,10 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
             "equality requires gamma = k - 1, impossible since every set has >= k members",
         ))
 
-    # C4
-    signature = bipartite and k >= 2 and _balanced_complete_bipartite_signature(g, k)
+    # C4: a bipartite (k-1)-regular graph on 2k-2 vertices with (k-1)^2
+    # edges is K_{k-1,k-1}, the signature C4 and C10 attain equality on.
+    m = k - 1
+    signature = bipartite and regular and n == 2 * m and delta == m and g.edge_count == m * m
     if not bipartite:
         checks.append(_na("C4", "graph is not bipartite"))
     elif k < 2:
@@ -365,15 +367,3 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
         tuple(checks), inv,
     )
 
-
-def _balanced_complete_bipartite_signature(g: Graph, k: int) -> bool:
-    """Structural recognition of K_{k-1,k-1}: 2k-2 vertices, (k-1)-regular,
-    bipartite, with (k-1)^2 edges.  Those four facts force the isomorphism."""
-    m = k - 1
-    return (
-        g.n == 2 * m
-        and g.is_regular()
-        and g.min_degree == m
-        and g.edge_count == m * m
-        and g.is_bipartite()
-    )

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from .domination import (
     GammaResult,
     OracleCapError,
+    _check_k,
     _check_mode,
     check_degree_gate,
     gamma_oracle,
     gamma_xk,
     is_ktuple_dominating,
-    is_ktuple_total_dominating,
     satisfies_by_cases,
     vertex_mask,
 )
@@ -47,12 +47,18 @@ class SearchBounds:
     zelinka_floor is the constructive lower bound floor(n / (k(n-delta)))
     in closed mode and the trivial 1 in open mode; degree_ceiling is
     floor((delta+1)/k) (closed) or floor(delta/k) (open); gamma_ceiling is
-    floor(n / minimum set size).
+    floor(n / minimum set size), since gamma * d <= n.  ceiling, the
+    smaller of the two ceilings, is where both d_xk and d_oracle start;
+    to_dict() does not write it.
     """
 
     zelinka_floor: int
     degree_ceiling: int
     gamma_ceiling: int
+
+    @property
+    def ceiling(self) -> int:
+        return min(self.degree_ceiling, self.gamma_ceiling)
 
     def to_dict(self) -> dict:
         return {
@@ -76,10 +82,6 @@ class DomaticResult:
         }
 
 
-def _whole_vertex_partition(g: Graph, k: int, mode: str) -> DomaticPartition:
-    return DomaticPartition((tuple(range(g.n)),), k, mode)
-
-
 def is_domatic_partition(g: Graph, p: DomaticPartition) -> bool:
     """True iff p's classes partition V(g) and each passes the mode's test.
 
@@ -88,17 +90,19 @@ def is_domatic_partition(g: Graph, p: DomaticPartition) -> bool:
     empty class merely returns False.
     """
     _check_mode(p.mode)
+    masks: list[int] = []
     union = 0
     for cls in p.classes:
         mask = vertex_mask(g, cls)
         if union & mask:
             raise ValueError("classes overlap")
         union |= mask
-    full = (1 << g.n) - 1
-    if union != full or any(not cls for cls in p.classes):
+        masks.append(mask)
+    if union != (1 << g.n) - 1 or not all(masks):
         return False
-    test = is_ktuple_dominating if p.mode == "closed" else is_ktuple_total_dominating
-    return all(test(g, cls, p.k) for cls in p.classes)
+    _check_k(p.k)
+    covers = g.covers(p.mode)
+    return all((c & mask).bit_count() >= p.k for mask in masks for c in covers)
 
 
 def degree_ceiling(g: Graph, k: int, mode: str) -> int:
@@ -258,12 +262,10 @@ def _classes_from_coloring(color: list[int], num_classes: int) -> tuple[tuple[in
 def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = None) -> DomaticResult:
     """Exact k-tuple (total) domatic number with a witness partition.
 
-    The search descends from the ceiling min(floor((delta+1)/k), floor(n /
-    minimum set size)) (open mode: floor(delta/k)); the first feasible class
-    count wins.  In closed mode, when floor(n / (k(n-delta))) >= 2 the
-    balanced id-order partition is already a valid witness, so the descent
-    stops above that floor and falls back to it.  Otherwise the fallback is
-    the single class V.
+    The search descends from bounds.ceiling, min(floor((delta+1)/k),
+    floor(n / minimum set size)) (open mode: floor(delta/k) in place of the
+    first term), to 2; the first feasible class count wins.  When no count
+    of 2 or more is feasible the witness is the single class V.
 
     ``gamma`` may pass a precomputed gamma_xk(g, k, mode) result to avoid a
     second minimum solve; a result for another k or mode is a ValueError.
@@ -274,27 +276,23 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     elif (gamma.k, gamma.mode) != (k, mode):
         raise ValueError(f"gamma result is for k={gamma.k}, mode={gamma.mode!r}, not k={k}, mode={mode!r}")
     bounds = _search_bounds(g, k, mode, gamma)
-    upper = min(bounds.degree_ceiling, bounds.gamma_ceiling)
-
-    floor = 1
-    fallback = _whole_vertex_partition(g, k, mode)
-    if bounds.zelinka_floor >= 2:
-        floor = bounds.zelinka_floor
-        fallback = zelinka_partition(g, k)
-    for count in range(upper, floor, -1):
+    for count in range(bounds.ceiling, 1, -1):
         color = _find_partition(g, k, mode, count, gamma.value)
         if color is not None:
             witness = DomaticPartition(_classes_from_coloring(color, count), k, mode)
             return DomaticResult(count, witness, bounds)
-    return DomaticResult(floor, fallback, bounds)
+    return DomaticResult(1, DomaticPartition((tuple(range(g.n)),), k, mode), bounds)
 
 
 def d_oracle(g: Graph, k: int, mode: str = "closed") -> DomaticResult:
     """Brute-force reference: enumerate set partitions of V restricted to
-    class counts 2..degree ceiling, keep the best valid one, else 1.
+    class counts 2..bounds.ceiling, keep the best valid one, else 1.
 
-    Independent of d_xk: restricted-growth enumeration plus the literal
-    case-split membership test on plain sets.  Hard error above the cap.
+    The ceiling is the one d_xk starts from, with gamma_oracle's minimum in
+    place of gamma_xk's; every valid partition has gamma * d <= n, so the
+    cap never cuts off the answer.  Independent of d_xk: restricted-growth
+    enumeration plus the literal case-split membership test on plain sets.
+    Hard error above the cap.
     """
     check_degree_gate(g, k, mode)
     if g.n > ORACLE_PARTITION_CAP:
@@ -305,7 +303,7 @@ def d_oracle(g: Graph, k: int, mode: str = "closed") -> DomaticResult:
 
     best_count = 1
     best_blocks = [list(range(n))]
-    max_blocks = bounds.degree_ceiling
+    max_blocks = bounds.ceiling
     if max_blocks >= 2:
         blocks: list[list[int]] = []
 

@@ -11,7 +11,7 @@ beyond the partition oracle's vertex cap checks the value independently.
 from __future__ import annotations
 
 from ktdom import Graph, check_degree_gate, gamma_xk
-from ktdom.domatic import degree_ceiling
+from ktdom.domatic import _search_bounds
 
 
 def id_order_partition(g: Graph, k: int, mode: str, num_classes: int) -> list[int] | None:
@@ -62,11 +62,10 @@ def id_order_partition(g: Graph, k: int, mode: str, num_classes: int) -> list[in
 
 
 def id_order_d(g: Graph, k: int, mode: str) -> int:
-    """The largest feasible class count, descending from min(degree
-    ceiling, n // gamma); 1 when no count of 2 or more is feasible."""
+    """The largest feasible class count, descending from the ceiling d_xk
+    starts from; 1 when no count of 2 or more is feasible."""
     check_degree_gate(g, k, mode)
-    upper = min(degree_ceiling(g, k, mode), g.n // gamma_xk(g, k, mode).value)
-    for count in range(upper, 1, -1):
+    for count in range(_search_bounds(g, k, mode, gamma_xk(g, k, mode)).ceiling, 1, -1):
         if id_order_partition(g, k, mode, count) is not None:
             return count
     return 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import shlex
@@ -16,13 +17,16 @@ from ktdom import (
     complete,
     complete_bipartite,
     cycle,
+    d_oracle,
     disjoint_union,
     gnp,
     k_join,
     path,
     random_regular,
     read_graph,
+    write_graph,
 )
+from ktdom import bounds
 from ktdom.cli import CSV_COLUMNS, main
 
 
@@ -56,6 +60,8 @@ REJECTED_CASES = [
     ("complete 3 4", "family 'complete' takes 1 integer parameter(s), got 2"),
     ("disjoint-union gnp:5", "family must be one of"),
     ("disjoint-union cycle:x", "sizes must be integers"),
+    ("gnp 8", "gnp takes two parameters: n p"),
+    ("gnp 8 x --seed 1", "expected a number"),
     ("gnp 8 1.5 --seed 1", "edge probability"),
     ("gnp 8 0.5", "gnp needs a seed"),
     ("random-regular 8 3", "random-regular needs a seed"),
@@ -66,6 +72,20 @@ REJECTED_CASES = [
     ("from-file ''", "from-file needs a path"),
     ("moebius 8", "unknown family 'moebius'"),
 ]
+
+
+# `ktdom ensemble --model` values given without their model parameter, and
+# a part of the error they print
+MISSING_MODEL_PARAM_CASES = [
+    ("gnp", "--p"),
+    ("random-regular", "random-regular needs --r"),
+]
+
+
+def shifted_d_oracle(*args):
+    """d_oracle answering one above the true value."""
+    result = d_oracle(*args)
+    return dataclasses.replace(result, value=result.value + 1)
 
 
 class TestGen:
@@ -165,6 +185,15 @@ class TestCompute:
         assert err == "error: oracle cross-check needs n <= 10, got n = 12\n"
         assert out == "" and calls == []
 
+    def test_oracle_mismatch_exits_1(self, monkeypatch, capsys):
+        replace_everywhere(monkeypatch, "d_oracle", shifted_d_oracle)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(write_graph(cycle(6))))
+        code, out, err = run(capsys, "compute", "--input", "-", "--k", "1", "--oracle")
+        assert code == 1
+        mismatches = ["d: solver = 3, oracle = 4", "d_total: solver = 1, oracle = 2"]
+        assert json.loads(out)["oracle"]["mismatches"] == mismatches
+        assert err == "".join(f"oracle mismatch: {line}\n" for line in mismatches)
+
     def test_duplicate_edge_warning_names_the_input(self, tmp_path, monkeypatch, capsys):
         dup = tmp_path / "dup.txt"
         dup.write_text("n 3\n0 1\n1 0\n1 2\n")
@@ -214,6 +243,21 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["status_counts"]["violated"] == 0
         assert "violated" not in err
+
+    def test_violated_check_exits_1(self, monkeypatch, capsys):
+        real = bounds.compute_invariants
+
+        def shifted(g, k, *args, **kwargs):  # d one above the true value, as in TestPerturbedValues
+            report = real(g, k, *args, **kwargs)
+            return dataclasses.replace(report, domatic=dataclasses.replace(report.domatic, value=report.domatic.value + 1))
+
+        monkeypatch.setattr(bounds, "compute_invariants", shifted)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(write_graph(complete(4))))
+        code, out, err = run(capsys, "verify", "--input", "-", "--k", "1")
+        assert code == 1
+        violated = [c["check_id"] for c in json.loads(out)["checks"] if c["status"] == "violated"]
+        assert "C1" in violated
+        assert err.splitlines() == [f"violated: {cid}: {bounds._STATEMENTS[cid]}" for cid in violated]
 
     def test_malformed_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -288,11 +332,25 @@ class TestEnsemble:
         assert err == "error: oracle cross-check needs n <= 10, got n = 11\n"
         assert out == "" and calls == []
 
-    def test_missing_model_param_exits_2(self, capsys):
-        code, _, err = run(capsys, "ensemble", "--model", "gnp", "--n", "8",
+    def test_oracle_mismatch_exits_1(self, monkeypatch, capsys):
+        replace_everywhere(monkeypatch, "d_oracle", shifted_d_oracle)
+        code, out, err = run(capsys, "ensemble", "--model", "gnp", "--n", "8", "--p", "0.5",
+                             "--count", "1", "--seed", "1", "--k", "1", "--oracle")
+        assert code == 1
+        row = out.splitlines()[1].split(",")
+        d, d_total = (int(row[CSV_COLUMNS.index(name)]) for name in ("d", "d_total"))
+        assert err.splitlines()[:2] == [
+            f"oracle mismatch on instance 0: d: solver = {d}, oracle = {d + 1}",
+            f"oracle mismatch on instance 0: d_total: solver = {d_total}, oracle = {d_total + 1}",
+        ]
+
+    @pytest.mark.parametrize("model, message", MISSING_MODEL_PARAM_CASES,
+                             ids=[model for model, _ in MISSING_MODEL_PARAM_CASES])
+    def test_missing_model_param_exits_2(self, capsys, model, message):
+        code, _, err = run(capsys, "ensemble", "--model", model, "--n", "8",
                            "--count", "2", "--seed", "1", "--k", "1")
         assert code == 2
-        assert "--p" in err
+        assert message in err
 
     def test_bad_count_exits_2(self, capsys):
         code, _, err = run(capsys, "ensemble", "--model", "gnp", "--n", "8", "--p", "0.5",

@@ -113,15 +113,20 @@ class TestDomaticSolver:
         assert len(res.witness.classes) == res.value
         assert is_domatic_partition(g, res.witness)
 
-    @given(graphs(), st.integers(1, 3))
+    @given(graphs(), st.integers(1, 3), st.sampled_from(["closed", "open"]))
     @settings(deadline=None)
-    def test_bounds_frame_the_value(self, g, k):
-        if g.min_degree < k - 1:
+    def test_bounds_frame_the_value(self, g, k, mode):
+        if g.min_degree < (k - 1 if mode == "closed" else k):
             return
-        res = d_xk(g, k)
-        b = res.bounds_used
-        assert b.zelinka_floor <= res.value
-        assert res.value <= min(b.degree_ceiling, b.gamma_ceiling)
+        results = [d_xk(g, k, mode)]
+        if g.n <= 6:
+            results.append(d_oracle(g, k, mode))
+        for res in results:
+            b = res.bounds_used
+            assert b.ceiling == min(b.degree_ceiling, b.gamma_ceiling)
+            assert b.zelinka_floor <= res.value <= b.ceiling
+            assert "ceiling" not in b.to_dict()
+        assert all(res.bounds_used == results[0].bounds_used for res in results)
 
     @given(graphs(), st.integers(1, 3))
     @settings(deadline=None)
@@ -162,6 +167,13 @@ class TestDomaticSolver:
         with pytest.raises(ValueError, match="mode='open'"):
             d_xk(g, 1, gamma=gamma_xk(g, 1, "open"))
         assert d_xk(g, 1, gamma=gamma_xk(g, 1)).value == 3
+
+    def test_value_at_the_zelinka_floor_is_searched(self):
+        # K7 at k = 2: the floor and the ceiling are both 3, and the witness
+        # comes from the partition search, not from the balanced blocks
+        res = d_xk(complete(7), 2)
+        assert (res.bounds_used.zelinka_floor, res.bounds_used.ceiling, res.value) == (3, 3, 3)
+        assert is_domatic_partition(complete(7), res.witness)
 
     def test_fallback_when_nothing_above_one(self):
         res = d_xk(path(4), 2)  # delta = 1, ceiling = 1

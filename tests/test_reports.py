@@ -7,6 +7,7 @@ import json
 import pytest
 
 from ktdom import complete, compute_invariants, cycle, gnp, path, verify_all
+from ktdom import reports
 from ktdom.reports import cross_check
 
 
@@ -51,6 +52,23 @@ def test_oracle_cross_check_clean_on_small_graphs():
 def test_oracle_cross_check_refuses_large_graphs():
     with pytest.raises(ValueError, match="oracle cross-check needs"):
         compute_invariants(gnp(11, 0.5, 1), 1, with_oracle=True)
+
+
+def test_cross_check_skips_a_gated_mode(monkeypatch):
+    g = path(4)
+    report = compute_invariants(g, 2)  # delta = 1 < k: open mode is gated
+    modes = []
+
+    def spy(original):
+        def wrapper(g, k, mode):
+            modes.append(mode)
+            return original(g, k, mode)
+        return wrapper
+
+    for name in ("gamma_oracle", "d_oracle"):
+        monkeypatch.setattr(reports, name, spy(getattr(reports, name)))
+    assert cross_check(g, report) == ()
+    assert modes == ["closed", "closed"]
 
 
 def test_to_dict_shape():
