@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import warnings
 
@@ -77,6 +78,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except BrokenPipeError:
+        # the reader closed the pipe early (`| head`): stop quietly, and send what is
+        # still buffered to devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -134,7 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write_text(path: str, text: str) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        # line by line: a reader that goes away mid-output then fails the next write, where
+        # one large write would only come back short and lose the rest without an error
+        sys.stdout.writelines(text.splitlines(keepends=True))
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

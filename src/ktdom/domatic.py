@@ -118,7 +118,10 @@ def zelinka_floor(g: Graph, k: int) -> int:
 
 
 def _search_bounds(g: Graph, k: int, mode: str, gamma: GammaResult) -> SearchBounds:
-    """The bounds framing a search, given its (exact or reference) minimum."""
+    """The bounds framing a search, given its (exact or reference) minimum;
+    a minimum for another k or mode is a ValueError."""
+    if (gamma.k, gamma.mode) != (k, mode):
+        raise ValueError(f"gamma result is for k={gamma.k}, mode={gamma.mode!r}, not k={k}, mode={mode!r}")
     floor = max(1, zelinka_floor(g, k)) if mode == "closed" else 1
     return SearchBounds(floor, degree_ceiling(g, k, mode), g.n // gamma.value)
 
@@ -273,8 +276,6 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     check_degree_gate(g, k, mode)
     if gamma is None:
         gamma = gamma_xk(g, k, mode)
-    elif (gamma.k, gamma.mode) != (k, mode):
-        raise ValueError(f"gamma result is for k={gamma.k}, mode={gamma.mode!r}, not k={k}, mode={mode!r}")
     bounds = _search_bounds(g, k, mode, gamma)
     for count in range(bounds.ceiling, 1, -1):
         color = _find_partition(g, k, mode, count, gamma.value)
@@ -284,7 +285,7 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     return DomaticResult(1, DomaticPartition((tuple(range(g.n)),), k, mode), bounds)
 
 
-def d_oracle(g: Graph, k: int, mode: str = "closed") -> DomaticResult:
+def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = None) -> DomaticResult:
     """Brute-force reference: enumerate set partitions of V restricted to
     class counts 2..bounds.ceiling, keep the best valid one, else 1.
 
@@ -293,12 +294,18 @@ def d_oracle(g: Graph, k: int, mode: str = "closed") -> DomaticResult:
     cap never cuts off the answer.  Independent of d_xk: restricted-growth
     enumeration plus the literal case-split membership test on plain sets.
     Hard error above the cap.
+
+    ``gamma`` may pass a precomputed gamma_oracle(g, k, mode) result to
+    avoid a second minimum solve; a result for another k or mode is a
+    ValueError, as in d_xk.
     """
     check_degree_gate(g, k, mode)
     if g.n > ORACLE_PARTITION_CAP:
         raise OracleCapError(f"oracle refuses n={g.n} > cap={ORACLE_PARTITION_CAP}")
     n = g.n
-    bounds = _search_bounds(g, k, mode, gamma_oracle(g, k, mode))
+    if gamma is None:
+        gamma = gamma_oracle(g, k, mode)
+    bounds = _search_bounds(g, k, mode, gamma)
     nbrs = [set(g.neighbors(v)) for v in range(n)]
 
     best_count = 1

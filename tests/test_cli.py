@@ -82,9 +82,9 @@ MISSING_MODEL_PARAM_CASES = [
 ]
 
 
-def shifted_d_oracle(*args):
+def shifted_d_oracle(*args, **kwargs):
     """d_oracle answering one above the true value."""
-    result = d_oracle(*args)
+    result = d_oracle(*args, **kwargs)
     return dataclasses.replace(result, value=result.value + 1)
 
 

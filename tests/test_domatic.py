@@ -21,6 +21,7 @@ from ktdom import (
     cycle,
     d_oracle,
     d_xk,
+    gamma_oracle,
     gamma_xk,
     gnp,
     is_domatic_partition,
@@ -30,7 +31,7 @@ from ktdom import (
 )
 from ktdom import domatic
 from ktdom.domatic import ORACLE_PARTITION_CAP
-from reference_colouring import id_order_d
+from partition_count import partition_counts
 from strategies import graphs
 
 # oracle-derived pairs (graph, k, mode, value); each row is asserted against
@@ -50,6 +51,17 @@ FROZEN_D = [
     (cycle(4), 1, "open", 2),
     (path(4), 1, "closed", 2),
 ]
+
+
+def certified(g, k, mode, value):
+    """True when the inclusion-exclusion count proves value the maximum:
+    some partition into value classes, none into value + 1."""
+    at_value, above = partition_counts(g, k, mode, value)
+    return at_value > 0 and above == 0
+
+
+def gated(g, k, mode):
+    return g.min_degree < (k - 1 if mode == "closed" else k)
 
 
 @pytest.mark.parametrize("g, k, mode, expected", FROZEN_D)
@@ -203,18 +215,25 @@ class TestFailFirstSearch:
         res = d_xk(g, 1, mode)
         assert res.value == expected
         assert is_domatic_partition(g, res.witness)
+        if g.n <= 16:  # co-C17 stays solver-checked: its count would take about twice as long
+            assert certified(g, 1, mode, expected)
 
     @pytest.mark.parametrize("n", [11, 12, 13, 14])
     @pytest.mark.parametrize("p", [0.5, 0.7])
-    def test_matches_id_order_colouring(self, n, p):
-        # beyond the partition oracle's cap: the old id-order search is the reference
+    def test_certified_by_partition_count(self, n, p):
+        # beyond the partition oracle's cap: the inclusion-exclusion count is the reference
         for seed in (1, 2, 3):
             g = gnp(n, p, seed)
             for k in (1, 2):
                 for mode in ("closed", "open"):
-                    if g.min_degree < (k - 1 if mode == "closed" else k):
-                        continue
-                    assert d_xk(g, k, mode).value == id_order_d(g, k, mode), (seed, k, mode)
+                    if not gated(g, k, mode):
+                        assert certified(g, k, mode, d_xk(g, k, mode).value), (seed, k, mode)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("mode", ["closed", "open"])
+    def test_certified_at_sixteen_vertices(self, k, mode):
+        g = gnp(16, 0.7, 1)
+        assert certified(g, k, mode, d_xk(g, k, mode).value)
 
     def test_complement_of_sparse_gnp_is_decided(self):
         # the complement solve inside verify_all(gnp(24, 0.3, 7), 1); a slow search shows as a stall
@@ -253,6 +272,20 @@ class TestDomaticOracle:
             monkeypatch.setattr(domatic, name, lambda *args: pytest.fail("searched"))
         with pytest.raises(OracleCapError, match=f"n={ORACLE_PARTITION_CAP + 1} > cap={ORACLE_PARTITION_CAP}"):
             d_oracle(cycle(ORACLE_PARTITION_CAP + 1), 1)
+
+    @given(graphs(), st.integers(1, 3), st.sampled_from(["closed", "open"]))
+    @settings(deadline=None)
+    def test_partition_count_certifies_its_value(self, g, k, mode):
+        if not gated(g, k, mode):
+            assert certified(g, k, mode, d_oracle(g, k, mode).value)
+
+    def test_precomputed_gamma_must_match_k_and_mode(self):
+        g = cycle(6)
+        with pytest.raises(ValueError, match="gamma result is for k=2"):
+            d_oracle(g, 1, gamma=gamma_oracle(g, 2))
+        with pytest.raises(ValueError, match="mode='open'"):
+            d_oracle(g, 1, gamma=gamma_oracle(g, 1, "open"))
+        assert d_oracle(g, 1, gamma=gamma_oracle(g, 1)).value == 3
 
     def test_answers_at_the_cap(self):
         # d(C_n) at k = 1 is 3 when 3 divides n, else 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 import gc
 import sys
 
-from ktdom import d_xk, gamma_xk, gnp, random_regular, verify_all
+from ktdom import compute_invariants, d_xk, gamma_xk, gnp, random_regular, verify_all
 
 ROUNDS = 200
 BLOCK_LIMIT = 1000  # allocated blocks; the solvers used to leave about 7,000 over the rounds
@@ -37,6 +37,7 @@ def test_verify_all_leaves_no_garbage_cycles():
     gc.collect()
     verify_all(g, 1)
     gamma_xk(random_regular(24, 3, 2), 1, "open")
+    compute_invariants(gnp(8, 0.6, 1), 1, with_oracle=True)  # d_oracle's recursive search
     assert gc.collect() == 0
 
 

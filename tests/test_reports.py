@@ -7,7 +7,7 @@ import json
 import pytest
 
 from ktdom import complete, compute_invariants, cycle, gnp, path, verify_all
-from ktdom import reports
+from ktdom import domatic, reports
 from ktdom.reports import cross_check
 
 
@@ -60,15 +60,31 @@ def test_cross_check_skips_a_gated_mode(monkeypatch):
     modes = []
 
     def spy(original):
-        def wrapper(g, k, mode):
+        def wrapper(g, k, mode, **kwargs):
             modes.append(mode)
-            return original(g, k, mode)
+            return original(g, k, mode, **kwargs)
         return wrapper
 
     for name in ("gamma_oracle", "d_oracle"):
         monkeypatch.setattr(reports, name, spy(getattr(reports, name)))
     assert cross_check(g, report) == ()
     assert modes == ["closed", "closed"]
+
+
+def test_cross_check_solves_each_gamma_oracle_once(monkeypatch):
+    # d_oracle takes the minimum cross_check just computed instead of solving it again
+    modes = []
+    original = reports.gamma_oracle
+
+    def spy(g, k, mode="closed"):
+        modes.append(mode)
+        return original(g, k, mode)
+
+    for module in (reports, domatic):
+        monkeypatch.setattr(module, "gamma_oracle", spy)
+    report = compute_invariants(gnp(9, 0.5, 1), 1, with_oracle=True)
+    assert report.oracle_mismatches == ()
+    assert modes == ["closed", "open"]
 
 
 def test_to_dict_shape():

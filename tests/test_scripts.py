@@ -31,17 +31,18 @@ def test_script_runs(monkeypatch, capsys, script, argv, header):
 
 
 @pytest.mark.parametrize(
-    "script, argv",
+    "argv",
     [
-        ("family_sharpness.py", ["--max-size", "8", "--max-k", "3"]),
-        ("small_graph_census.py", ["--max-n", "4", "--k", "1"]),
+        [str(SCRIPTS / "family_sharpness.py"), "--max-size", "8", "--max-k", "3"],
+        [str(SCRIPTS / "small_graph_census.py"), "--max-n", "4", "--k", "1"],
+        ["-m", "ktdom.cli", "gen", "complete", "300"],  # one write, larger than a pipe holds
     ],
-    ids=["family_sharpness", "small_graph_census"],
+    ids=["family_sharpness", "small_graph_census", "ktdom"],
 )
-def test_closed_pipe_ends_quietly(script, argv):
+def test_closed_pipe_ends_quietly(argv):
     # unbuffered, so that every row after the first meets the closed pipe at once
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-u", str(SCRIPTS / script), *argv],
+    proc = subprocess.Popen([sys.executable, "-u", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
     try:
         assert proc.stdout.readline()
