@@ -16,6 +16,7 @@ from .domination import (
     OracleCapError,
     _check_k,
     _check_mode,
+    _smaller_set,
     check_degree_gate,
     gamma_oracle,
     gamma_xk,
@@ -23,7 +24,7 @@ from .domination import (
     satisfies_by_cases,
     vertex_mask,
 )
-from .graphs import Graph
+from .graphs import Graph, bit_list
 
 ORACLE_PARTITION_CAP = 10
 
@@ -262,6 +263,51 @@ def _classes_from_coloring(color: list[int], num_classes: int) -> tuple[tuple[in
     return tuple([tuple(cls) for cls in classes])
 
 
+def _minimum_set_rule(
+    g: Graph, k: int, mode: str, top: int, gamma: GammaResult
+) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+    """Settle class counts from the family of minimum sets.
+
+    In a partition into c classes, each of at least gamma vertices and
+    summing to n, at least m = c(gamma + 1) - n classes are minimum sets,
+    pairwise disjoint.  A set H that meets every minimum set bounds such a
+    packing by |H| (nu <= tau), so each c with m > |H| is infeasible.
+
+    The family is explored once, at top, by first-hit searches for a
+    minimum set avoiding a banned mask.  A greedy packing grows from the
+    witness; m disjoint sets mean that nothing can be refuted.  At slack 0
+    (top * gamma = n) those top sets partition V and are returned as the
+    classes.  Otherwise H takes the highest-degree vertex (then the lowest
+    id) of each packed set and of each minimum set that still avoids it;
+    when none does while |H| < m, every count above (n + |H|) // (gamma + 1)
+    is refuted.  Returns the largest count left open and the slack-0
+    classes or None.
+    """
+    size, n = gamma.value, g.n
+    want = top * (size + 1) - n
+    if want < 2:  # a nonempty family needs |H| >= 1
+        return top, None
+    packing = [vertex_mask(g, gamma.witness)]
+    used = packing[0]
+    while len(packing) < want:
+        found = _smaller_set(g, k, mode, size + 1, used, True)[0]
+        if found is None:
+            break
+        packing.append(found)
+        used |= found
+    if len(packing) == want:
+        return top, tuple(sorted([bit_list(mask) for mask in packing])) if top * size == n else None
+
+    hit = 0
+    while hit.bit_count() < want:
+        # the packed sets first: disjoint, so each adds a vertex
+        found = packing.pop() if packing else _smaller_set(g, k, mode, size + 1, hit, True)[0]
+        if found is None:
+            return (n + hit.bit_count()) // (size + 1), None
+        hit |= 1 << max(bit_list(found), key=g.deg.__getitem__)
+    return top, None
+
+
 def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = None) -> DomaticResult:
     """Exact k-tuple (total) domatic number with a witness partition.
 
@@ -270,6 +316,13 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     first term), to 2; the first feasible class count wins.  When no count
     of 2 or more is feasible the witness is the single class V.
 
+    The minimum sets settle the top counts first (_minimum_set_rule): c
+    classes on n vertices include at least m = c(gamma + 1) - n disjoint
+    minimum sets, so a set H meeting every minimum set refutes each c with
+    m > |H|, since a packing is never larger than a cover.  At a slack-0
+    ceiling (ceiling * gamma = n) a packing of that many minimum sets is
+    itself the witness and the colouring search is skipped.
+
     ``gamma`` may pass a precomputed gamma_xk(g, k, mode) result to avoid a
     second minimum solve; a result for another k or mode is a ValueError.
     """
@@ -277,7 +330,10 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     if gamma is None:
         gamma = gamma_xk(g, k, mode)
     bounds = _search_bounds(g, k, mode, gamma)
-    for count in range(bounds.ceiling, 1, -1):
+    top, classes = _minimum_set_rule(g, k, mode, bounds.ceiling, gamma)
+    if classes is not None:
+        return DomaticResult(top, DomaticPartition(classes, k, mode), bounds)
+    for count in range(top, 1, -1):
         color = _find_partition(g, k, mode, count, gamma.value)
         if color is not None:
             witness = DomaticPartition(_classes_from_coloring(color, count), k, mode)

@@ -177,36 +177,31 @@ def _greedy_upper(g: Graph, k: int, mode: str) -> int:
     return chosen
 
 
-def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
-    """Exact minimum cardinality of a k-tuple (total) dominating set.
+def _smaller_set(
+    g: Graph, k: int, mode: str, bound: int, banned: int = 0, first: bool = False
+) -> tuple[int | None, int]:
+    """Branch and bound for a k-tuple (total) dominating set of fewer than
+    ``bound`` vertices that avoids the ``banned`` mask, with gamma_xk's rules.
 
-    Branch and bound over vertices in ascending degree order, taking a
-    vertex before leaving it out.  Each vertex v carries a residual demand
-    (k minus its current in-set coverage).  Three rules prune a branch: some
-    demand exceeds what the undecided vertices could still supply;
-    |chosen| + the largest demand cannot beat the incumbent; or |chosen| +
-    ceil(total demand / most) cannot, where most is the largest number of
-    still-demanding vertices that one undecided vertex covers (the counting
-    bound gamma >= ceil(kn / (Delta + 1)) applied to the residual instance).
-    The incumbent starts from a greedy pass, so the reported value is exact
-    even when the greedy set is already optimal.  The search runs on an
-    explicit stack of the vertices taken, so its depth is not bounded by the
-    recursion limit.
+    Returns the smallest such set's mask, or None, and the number of nodes
+    explored; every set found lowers the bound.  With ``first`` the search
+    returns the first set it meets and takes high-degree vertices first,
+    which reach a set sooner; otherwise it takes them in ascending degree
+    order, which lets the bounds prove a minimum sooner.
     """
-    check_degree_gate(g, k, mode)
     covers = g.covers(mode)
     cover_bits = g.cover_lists(mode)
     n = g.n
-    order = sorted(range(n), key=lambda v: (g.deg[v], v))
+    # sorted is stable, also in reverse, so ties stay in id order
+    order = sorted([v for v in range(n) if not banned >> v & 1], key=g.deg.__getitem__, reverse=first)
+    last = len(order)
     ordered_covers = [covers[v] for v in order]
     # undecided[i]: the vertices order[i:], still undecided at depth i
-    undecided = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
+    undecided = [0] * (last + 1)
+    for i in range(last - 1, -1, -1):
         undecided[i] = undecided[i + 1] | 1 << order[i]
 
-    best_mask = _greedy_upper(g, k, mode)
-    best_size = best_mask.bit_count()
-
+    best_mask = None
     demand = [k] * n
     nodes = 0
     # Leaving a vertex out is a node's last branch, so the stack holds only
@@ -230,16 +225,18 @@ def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
         else:
             count = len(taken)
             if not total:
-                if count < best_size:
-                    best_size, best_mask = count, chosen
-            elif count + worst < best_size:
+                if count < bound:
+                    bound, best_mask = count, chosen
+                    if first:
+                        return best_mask, nodes
+            elif count + worst < bound:
                 # most >= 1: every demanding vertex has an undecided vertex covering it
                 most = 0
-                for i in range(depth, n):
+                for i in range(depth, last):
                     hit = (ordered_covers[i] & needy).bit_count()
                     if hit > most:
                         most = hit
-                if count - (-total // most) < best_size:
+                if count - (-total // most) < bound:
                     v = order[depth]
                     for u in cover_bits[v]:
                         demand[u] -= 1
@@ -249,13 +246,37 @@ def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
                     continue
         # a dead end: leave out the last vertex taken instead
         if not taken:
-            return GammaResult(best_size, bit_list(best_mask), mode, k, nodes)
+            return best_mask, nodes
         depth = taken.pop()
         v = order[depth]
         for u in cover_bits[v]:
             demand[u] += 1
         chosen ^= 1 << v
         depth += 1
+
+
+def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
+    """Exact minimum cardinality of a k-tuple (total) dominating set.
+
+    Branch and bound over vertices in ascending degree order, taking a
+    vertex before leaving it out.  Each vertex v carries a residual demand
+    (k minus its current in-set coverage).  Three rules prune a branch: some
+    demand exceeds what the undecided vertices could still supply;
+    |chosen| + the largest demand cannot beat the incumbent; or |chosen| +
+    ceil(total demand / most) cannot, where most is the largest number of
+    still-demanding vertices that one undecided vertex covers (the counting
+    bound gamma >= ceil(kn / (Delta + 1)) applied to the residual instance).
+    The incumbent starts from a greedy pass, so the reported value is exact
+    even when the greedy set is already optimal.  The search, _smaller_set,
+    is shared with d_xk's minimum-set rule; it runs on an explicit stack of
+    the vertices taken, so its depth is not bounded by the recursion limit.
+    """
+    check_degree_gate(g, k, mode)
+    greedy = _greedy_upper(g, k, mode)
+    best, nodes = _smaller_set(g, k, mode, greedy.bit_count())
+    if best is None:
+        best = greedy
+    return GammaResult(best.bit_count(), bit_list(best), mode, k, nodes)
 
 
 def gamma_oracle(g: Graph, k: int, mode: str = "closed") -> GammaResult:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ktdom import (
     DegreeGateError,
     DomaticPartition,
+    Graph,
     OracleCapError,
     clique_chain,
     complement,
@@ -27,6 +28,7 @@ from ktdom import (
     is_domatic_partition,
     is_ktuple_dominating,
     path,
+    random_regular,
     zelinka_partition,
 )
 from ktdom import domatic
@@ -62,6 +64,30 @@ def certified(g, k, mode, value):
 
 def gated(g, k, mode):
     return g.min_degree < (k - 1 if mode == "closed" else k)
+
+
+def within(seconds, solve, label):
+    """solve() under an alarm, so that a slow search fails as a stall."""
+
+    def out_of_time(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return solve()
+    except TimeoutError:
+        pytest.fail(f"{label} undecided after {seconds} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def minimum_set_rule(g, k, mode):
+    """The rule as d_xk applies it: (largest count left open, slack-0 classes or None, top)."""
+    gamma = gamma_xk(g, k, mode)
+    top = domatic._search_bounds(g, k, mode, gamma).ceiling
+    return (*domatic._minimum_set_rule(g, k, mode, top, gamma), top)
 
 
 @pytest.mark.parametrize("g, k, mode, expected", FROZEN_D)
@@ -237,19 +263,8 @@ class TestFailFirstSearch:
 
     def test_complement_of_sparse_gnp_is_decided(self):
         # the complement solve inside verify_all(gnp(24, 0.3, 7), 1); a slow search shows as a stall
-        def out_of_time(signum, frame):
-            raise TimeoutError
-
         g = complement(gnp(24, 0.3, 7))
-        previous = signal.signal(signal.SIGALRM, out_of_time)
-        signal.setitimer(signal.ITIMER_REAL, 30)
-        try:
-            res = d_xk(g, 1)
-        except TimeoutError:
-            pytest.fail("d_xk(complement(gnp(24, 0.3, 7)), 1) undecided after 30 s")
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+        res = within(30, lambda: d_xk(g, 1), "d_xk(complement(gnp(24, 0.3, 7)), 1)")
         assert res.value == 10
         assert is_domatic_partition(g, res.witness)
 
@@ -264,6 +279,68 @@ class TestFailFirstSearch:
         finally:
             sys.setrecursionlimit(limit)
         assert res.value == 30
+
+
+class TestMinimumSetRule:
+    """d_xk settles its top counts from the minimum sets: a small hitting set
+    refutes, and at slack 0 a packing is the partition."""
+
+    def test_gnp_20_is_decided_by_its_universal_vertices(self):
+        # at k = 1 the minimum sets are the 5 universal vertices, and 13 classes on 20 vertices
+        # would need 13 * 2 - 20 = 6 singleton classes
+        g = gnp(20, 0.9, 1)
+        assert sum(d == g.n - 1 for d in g.deg) == 5
+        res = within(5, lambda: d_xk(g, 1), "d_xk(gnp(20, 0.9, 1), 1)")
+        assert res.value == 12
+        assert is_domatic_partition(g, res.witness)
+
+    @pytest.mark.parametrize(
+        "g, k, mode, expected",
+        [(gnp(24, 0.9, 7), 1, "closed", 14), (random_regular(24, 3, 2), 1, "open", 2)],
+        ids=["gnp(24,0.9,7)", "rr3(24,2)-open"],
+    )
+    def test_stalls_are_decided(self, g, k, mode, expected):
+        res = within(5, lambda: d_xk(g, k, mode), f"d_xk on {g.n} vertices, k={k}, {mode}")
+        assert res.value == expected
+        assert is_domatic_partition(g, res.witness)
+
+    def test_a_lone_universal_vertex_refutes_down_to_d(self):
+        # K8 minus a perfect matching, plus a universal vertex 8: the only minimum set is {8},
+        # so H = {8} refutes every count above (9 + 1) // 2 = 5, and {8} with four
+        # non-matched pairs reaches it
+        g = Graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if v != u + 1 or u % 2])
+        assert minimum_set_rule(g, 1, "closed") == (5, None, 8)
+        assert d_xk(g, 1).value == 5
+
+    def test_slack_zero_packing_is_the_witness(self):
+        # C6 at k = 1: gamma = 2 and three classes, so the three disjoint minimum sets are the partition
+        left, classes, top = minimum_set_rule(cycle(6), 1, "closed")
+        assert (left, top) == (3, 3)
+        assert d_xk(cycle(6), 1).witness.classes == classes == ((0, 3), (1, 4), (2, 5))
+
+    @given(graphs(max_n=8), st.integers(1, 2), st.sampled_from(["closed", "open"]))
+    @settings(max_examples=300, deadline=None)
+    def test_refuted_counts_lie_above_the_oracle(self, g, k, mode):
+        if gated(g, k, mode):
+            return
+        left, classes, top = minimum_set_rule(g, k, mode)
+        assert d_oracle(g, k, mode).value <= left <= top
+        if classes is not None:
+            assert len(classes) == top
+            assert is_domatic_partition(g, DomaticPartition(classes, k, mode))
+
+    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    @pytest.mark.parametrize("p", [0.5, 0.7])
+    def test_refuted_counts_have_no_partition(self, n, p):
+        # the graphs of test_certified_by_partition_count; each call counts c and c + 1
+        for seed in (1, 2, 3):
+            g = gnp(n, p, seed)
+            for k in (1, 2):
+                for mode in ("closed", "open"):
+                    if not gated(g, k, mode):
+                        left, _, top = minimum_set_rule(g, k, mode)
+                        for c in range(left + 1, top + 1, 2):
+                            assert partition_counts(g, k, mode, c) == (0, 0), (seed, k, mode, c)
 
 
 class TestDomaticOracle:

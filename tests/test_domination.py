@@ -192,6 +192,22 @@ class TestGammaSolver:
                     if g.min_degree >= k - 1:
                         assert gamma_xk(g, k).value >= k
 
+    @given(graphs(max_n=8), st.integers(1, 2), st.sampled_from(["closed", "open"]), st.integers(0, 255))
+    @settings(deadline=None)
+    def test_first_hit_finds_a_minimum_set_avoiding_the_banned(self, g, k, mode, banned):
+        # the search d_xk's minimum-set rule relies on, against plain enumeration
+        if g.min_degree < (k - 1 if mode == "closed" else k):
+            return
+        banned &= (1 << g.n) - 1
+        size = gamma_xk(g, k, mode).value
+        valid = is_ktuple_dominating if mode == "closed" else is_ktuple_total_dominating
+        found, _ = domination._smaller_set(g, k, mode, size + 1, banned, True)
+        free = [v for v in range(g.n) if not banned >> v & 1]
+        assert (found is not None) == any(valid(g, s, k) for s in combinations(free, size))
+        if found is not None:
+            members = [v for v in range(g.n) if found >> v & 1]
+            assert len(members) == size and not found & banned and valid(g, members, k)
+
     def test_deterministic_witness(self):
         g = cycle(7)
         first = gamma_xk(g, 2)
