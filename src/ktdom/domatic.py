@@ -349,7 +349,13 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | Non
     place of gamma_xk's; every valid partition has gamma * d <= n, so the
     cap never cuts off the answer.  Independent of d_xk: restricted-growth
     enumeration plus the literal case-split membership test on plain sets.
-    Hard error above the cap.
+    Blocks are vertex masks, and the test runs at most once per distinct
+    mask.  Before placing vertex v, a block b whose b | {v..n-1} fails is
+    dropped with its branch: every class grown from b lies inside that mask,
+    and supersets of valid sets are valid, so none of them can pass.  Only
+    branches without a valid partition are cut, so the first best partition
+    in restricted-growth order is still the one returned.  Hard error above
+    the cap.
 
     ``gamma`` may pass a precomputed gamma_oracle(g, k, mode) result to
     avoid a second minimum solve; a result for another k or mode is a
@@ -365,26 +371,35 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | Non
     nbrs = [set(g.neighbors(v)) for v in range(n)]
 
     best_count = 1
-    best_blocks = [list(range(n))]
+    best_blocks = [tuple(range(n))]
     max_blocks = bounds.ceiling
     if max_blocks >= 2:
-        blocks: list[list[int]] = []
+        blocks: list[int] = []  # vertex masks, in restricted-growth order
+        passes: dict[int, bool] = {}  # the literal test, once per mask
 
         def rec(v: int) -> None:
             nonlocal best_count, best_blocks
             if min(max_blocks, len(blocks) + (n - v)) <= best_count:
                 return
-            if v == n:
-                if len(blocks) > best_count and all(satisfies_by_cases(nbrs, set(b), k, mode) for b in blocks):
-                    best_count = len(blocks)
-                    best_blocks = [list(b) for b in blocks]
-                return
+            rest = (1 << n) - (1 << v)  # the vertices still to place
             for b in blocks:
-                b.append(v)
+                mask = b | rest
+                ok = passes.get(mask)
+                if ok is None:
+                    ok = passes[mask] = satisfies_by_cases(nbrs, set(bit_list(mask)), k, mode)
+                if not ok:
+                    return
+            if v == n:  # rest is empty, so every block passed the test as it stands
+                best_count = len(blocks)
+                best_blocks = [bit_list(b) for b in blocks]
+                return
+            bit = 1 << v
+            for i in range(len(blocks)):
+                blocks[i] |= bit
                 rec(v + 1)
-                b.pop()
+                blocks[i] ^= bit
             if len(blocks) < max_blocks:
-                blocks.append([v])
+                blocks.append(bit)
                 rec(v + 1)
                 blocks.pop()
 
@@ -392,7 +407,7 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | Non
             rec(0)
         finally:
             del rec  # it refers to itself; drop that cycle instead of leaving it to the collector
-    witness = DomaticPartition(tuple([tuple(b) for b in best_blocks]), k, mode)
+    witness = DomaticPartition(tuple(best_blocks), k, mode)
     return DomaticResult(best_count, witness, bounds)
 
 

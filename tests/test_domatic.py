@@ -33,6 +33,7 @@ from ktdom import (
 )
 from ktdom import domatic
 from ktdom.domatic import ORACLE_PARTITION_CAP
+from ktdom.domination import satisfies_by_cases
 from partition_count import partition_counts
 from strategies import graphs
 
@@ -367,6 +368,36 @@ class TestDomaticOracle:
     def test_answers_at_the_cap(self):
         # d(C_n) at k = 1 is 3 when 3 divides n, else 2
         assert d_oracle(cycle(ORACLE_PARTITION_CAP), 1).value == (3 if ORACLE_PARTITION_CAP % 3 == 0 else 2)
+
+    @pytest.mark.parametrize("g, k, mode", [
+        (cycle(6), 1, "closed"),
+        (complete(6), 2, "closed"),
+        (gnp(10, 0.7, 19), 1, "open"),
+    ])
+    def test_literal_test_runs_once_per_mask(self, g, k, mode, monkeypatch):
+        tested = []
+
+        def spy(nbrs, members, k, mode):
+            tested.append(frozenset(members))
+            return satisfies_by_cases(nbrs, members, k, mode)
+
+        monkeypatch.setattr(domatic, "satisfies_by_cases", spy)
+        d_oracle(g, k, mode)
+        assert len(tested) == len(set(tested)) <= 2 ** g.n
+
+    # the first best partition in restricted-growth order, which the superset prune must
+    # not move; the n = 10 rows are the cap instances where the prune cuts the most
+    @pytest.mark.parametrize("g, k, mode, classes", [
+        (cycle(6), 1, "closed", ((0, 3), (1, 4), (2, 5))),
+        (gnp(10, 0.7, 19), 1, "closed", ((0, 1), (2, 7, 8), (3, 5), (4, 6), (9,))),
+        (gnp(10, 0.7, 19), 1, "open", ((0, 2, 4), (1, 5), (3, 6, 7), (8, 9))),
+        (gnp(10, 0.8, 3), 1, "open", ((0, 1, 3, 6), (2, 4), (5, 9), (7, 8))),
+        (gnp(10, 0.7, 13), 1, "closed", ((0, 1), (2, 5, 7), (3, 6, 9), (4, 8))),
+    ])
+    def test_frozen_witness_is_certified(self, g, k, mode, classes):
+        result = d_oracle(g, k, mode)
+        assert result.witness.classes == classes
+        assert certified(g, k, mode, result.value)
 
 
 class TestZelinkaConstruction:

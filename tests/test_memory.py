@@ -11,24 +11,40 @@ import gc
 import sys
 
 from ktdom import compute_invariants, d_xk, gamma_xk, gnp, random_regular, verify_all
+from ktdom.reports import cross_check
 
 ROUNDS = 200
 BLOCK_LIMIT = 1000  # allocated blocks; the solvers used to leave about 7,000 over the rounds
 
 
-def test_repeated_solves_keep_memory_flat():
-    g = gnp(14, 0.8, 7)
-    sparse = random_regular(24, 3, 2)  # its open-mode gamma search goes deep
-    gamma_xk(g, 1)
-    gamma_xk(sparse, 1, "open")
-    d_xk(g, 2)
+def growth_over_rounds(solve) -> int:
+    """Allocated blocks gained over ROUNDS calls of solve, after one warm-up call."""
+    solve()
     gc.collect()
     before = sys.getallocatedblocks()
     for _ in range(ROUNDS):
+        solve()
+    return sys.getallocatedblocks() - before
+
+
+def test_repeated_solves_keep_memory_flat():
+    g = gnp(14, 0.8, 7)
+    sparse = random_regular(24, 3, 2)  # its open-mode gamma search goes deep
+
+    def solve():
         gamma_xk(g, 1)
         gamma_xk(sparse, 1, "open")
         d_xk(g, 2)
-    growth = sys.getallocatedblocks() - before
+
+    growth = growth_over_rounds(solve)
+    assert growth < BLOCK_LIMIT, f"allocated blocks grew by {growth} over {ROUNDS} rounds"
+
+
+def test_repeated_cross_checks_keep_memory_flat():
+    g = gnp(9, 0.7, 2)
+    report = compute_invariants(g, 1)
+    # the oracles: subset enumeration, and d_oracle's nested search and mask table
+    growth = growth_over_rounds(lambda: cross_check(g, report))
     assert growth < BLOCK_LIMIT, f"allocated blocks grew by {growth} over {ROUNDS} rounds"
 
 
@@ -42,6 +58,10 @@ def test_verify_all_leaves_no_garbage_cycles():
 
 
 if __name__ == "__main__":
-    for test in (test_repeated_solves_keep_memory_flat, test_verify_all_leaves_no_garbage_cycles):
+    for test in (
+        test_repeated_solves_keep_memory_flat,
+        test_repeated_cross_checks_keep_memory_flat,
+        test_verify_all_leaves_no_garbage_cycles,
+    ):
         test()
         print(f"{test.__name__}: passed")
