@@ -22,8 +22,8 @@ import sys
 import warnings
 
 from .bounds import CHECK_IDS, BoundsReport, verify_all
-from .graphs import (Graph, clique_chain, complete, complete_bipartite, cycle, disjoint_union, gnp, k_join, path,
-                     random_regular, read_graph, write_graph)
+from .graphs import (MAX_READ_VERTICES, Graph, clique_chain, complete, complete_bipartite, cycle, disjoint_union, gnp,
+                     k_join, path, random_regular, read_graph, write_graph)
 from .reports import _check_oracle_cap, compute_invariants, cross_check
 
 NA = "NA"
@@ -32,14 +32,14 @@ NA = "NA"
 _FAMILIES = ("complete", "complete-bipartite", "cycle", "path", "disjoint-union", "k-join", "clique-chain", "gnp",
              "random-regular", "from-file")
 
-# family -> (generator, integer parameter count); these are also the families
-# a disjoint-union or k-join part token such as complete:3 may name
+# family -> (generator, integer parameter count, vertices per unit of their sum); these
+# are also the families a disjoint-union or k-join part token such as complete:3 may name
 _INTEGER_FAMILIES = {
-    "complete": (complete, 1),
-    "complete-bipartite": (complete_bipartite, 2),
-    "cycle": (cycle, 1),
-    "path": (path, 1),
-    "clique-chain": (clique_chain, 1),
+    "complete": (complete, 1, 1),
+    "complete-bipartite": (complete_bipartite, 2, 1),
+    "cycle": (cycle, 1, 1),
+    "path": (path, 1, 1),
+    "clique-chain": (clique_chain, 1, 4),
 }
 
 CSV_COLUMNS = (
@@ -181,20 +181,20 @@ def _float(token: str) -> float:
 
 def _generate(args: argparse.Namespace) -> Graph:
     """Build the graph `gen` names.  Every parameter is parsed before its
-    count is checked, and a seed is required before a generator runs."""
+    count is checked, and the vertex count and a seed are checked before a
+    generator runs."""
     family, params = args.family, args.params
     if family in ("disjoint-union", "k-join"):
         parts = [_part(token) for token in params]
         if family == "disjoint-union":
             if not parts:
                 raise ValueError("disjoint-union needs at least one part")
-            return disjoint_union(_integer_family(*part) for part in parts)
+            return disjoint_union(_integer_graphs(parts))
         if len(parts) != 2:
             raise ValueError("k-join needs exactly two parts")
         if args.join_k is None:
             raise ValueError("k-join needs k")
-        g, h = (_integer_family(*part) for part in parts)
-        return k_join(g, h, args.join_k, rule=args.join_rule, seed=args.seed)
+        return k_join(*_integer_graphs(parts), args.join_k, rule=args.join_rule, seed=args.seed)
     if family == "from-file":
         if len(params) != 1:
             raise ValueError("from-file takes exactly one path")
@@ -203,13 +203,21 @@ def _generate(args: argparse.Namespace) -> Graph:
         if len(params) != 2:
             raise ValueError("gnp takes two parameters: n p")
         n, p = _int(params[0]), _float(params[1])
-        return gnp(n, p, _seed(args))
+        return gnp(_within_limit(n), p, _seed(args))
     sizes = [_int(token) for token in params]
     if family == "random-regular":
-        return random_regular(*_arity(family, sizes, 2), _seed(args))
+        n, r = _arity(family, sizes, 2)
+        return random_regular(_within_limit(n), r, _seed(args))
     if family not in _INTEGER_FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {', '.join(_FAMILIES)}")
-    return _integer_family(family, sizes)
+    return _integer_graphs([(family, sizes)])[0]
+
+
+def _within_limit(n: int) -> int:
+    """n, unless a graph on n vertices is one that read_graph would refuse."""
+    if n > MAX_READ_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_READ_VERTICES}")
+    return n
 
 
 def _part(token: str) -> tuple[str, list[int]]:
@@ -223,9 +231,15 @@ def _part(token: str) -> tuple[str, list[int]]:
         raise ValueError(f"part {token!r}: sizes must be integers") from None
 
 
-def _integer_family(family: str, sizes: list[int]) -> Graph:
-    make, count = _INTEGER_FAMILIES[family]
-    return make(*_arity(family, sizes, count))
+def _integer_graphs(parts: list[tuple[str, list[int]]]) -> list[Graph]:
+    """Build each (family, sizes) part once their vertex count is within the limit; a
+    negative count, which its generator refuses, counts 0 and offsets no other part."""
+    total = 0
+    for family, sizes in parts:
+        _, count, per_unit = _INTEGER_FAMILIES[family]
+        total += max(0, per_unit * sum(_arity(family, sizes, count)))
+    _within_limit(total)
+    return [_INTEGER_FAMILIES[family][0](*sizes) for family, sizes in parts]
 
 
 def _arity(family: str, sizes: list[int], count: int) -> list[int]:
@@ -279,11 +293,11 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     if args.model == "gnp":
         if args.p is None:
             raise ValueError("gnp needs --p")
-        make = lambda seed: gnp(args.n, args.p, seed)
+        make = lambda seed: gnp(_within_limit(args.n), args.p, seed)
     else:
         if args.r is None:
             raise ValueError("random-regular needs --r")
-        make = lambda seed: random_regular(args.n, args.r, seed)
+        make = lambda seed: random_regular(_within_limit(args.n), args.r, seed)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -10,17 +10,18 @@ count and a descending search can stop at the first feasible count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .domination import (
     GammaResult,
     OracleCapError,
     _check_k,
     _check_mode,
+    _dominates,
     _smaller_set,
     check_degree_gate,
     gamma_oracle,
     gamma_xk,
-    is_ktuple_dominating,
     satisfies_by_cases,
     vertex_mask,
 )
@@ -31,7 +32,9 @@ ORACLE_PARTITION_CAP = 10
 
 @dataclass(frozen=True, slots=True)
 class DomaticPartition:
-    """Partition certificate: classes as sorted tuples, ordered by minimum."""
+    """Partition certificate: classes as sorted tuples, ordered by minimum,
+    an order that _partition, the one builder of every solver's certificate,
+    enforces."""
 
     classes: tuple[tuple[int, ...], ...]
     k: int
@@ -45,12 +48,13 @@ class DomaticPartition:
 class SearchBounds:
     """Bounds that framed a domatic search.
 
-    zelinka_floor is the constructive lower bound floor(n / (k(n-delta)))
-    in closed mode and the trivial 1 in open mode; degree_ceiling is
-    floor((delta+1)/k) (closed) or floor(delta/k) (open); gamma_ceiling is
-    floor(n / minimum set size), since gamma * d <= n.  ceiling, the
-    smaller of the two ceilings, is where both d_xk and d_oracle start;
-    to_dict() does not write it.
+    zelinka_floor is max(1, floor(n / (k(n-delta)))) in closed mode, the
+    constructive lower bound raised to the trivial 1 when the raw floor is
+    0, and 1 in open mode; it is only reported, and no search reads it.
+    degree_ceiling is floor((delta+1)/k) (closed) or floor(delta/k) (open);
+    gamma_ceiling is floor(n / minimum set size), since gamma * d <= n.
+    ceiling, the smaller of the two ceilings, is where both d_xk and
+    d_oracle start; to_dict() does not write it.
     """
 
     zelinka_floor: int
@@ -91,19 +95,23 @@ def is_domatic_partition(g: Graph, p: DomaticPartition) -> bool:
     empty class merely returns False.
     """
     _check_mode(p.mode)
-    masks: list[int] = []
+    masks = [vertex_mask(g, cls) for cls in p.classes]
     union = 0
-    for cls in p.classes:
-        mask = vertex_mask(g, cls)
+    for mask in masks:
         if union & mask:
             raise ValueError("classes overlap")
         union |= mask
-        masks.append(mask)
     if union != (1 << g.n) - 1 or not all(masks):
         return False
     _check_k(p.k)
     covers = g.covers(p.mode)
-    return all((c & mask).bit_count() >= p.k for mask in masks for c in covers)
+    return all(_dominates(covers, mask, p.k) for mask in masks)
+
+
+def _partition(classes: Iterable[Sequence[int]], k: int, mode: str) -> DomaticPartition:
+    """The certificate of a solver's classes, each an ascending vertex
+    sequence: the classes are disjoint, so sorting orders them by minimum."""
+    return DomaticPartition(tuple(sorted([tuple(cls) for cls in classes])), k, mode)
 
 
 def degree_ceiling(g: Graph, k: int, mode: str) -> int:
@@ -131,8 +139,9 @@ def _search_bounds(g: Graph, k: int, mode: str, gamma: GammaResult) -> SearchBou
 # exact maximum
 
 
-def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -> list[int] | None:
-    """Colour V into num_classes k-tuple dominating classes, or return None.
+def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -> list[list[int]] | None:
+    """Colour V into num_classes k-tuple dominating classes and return them
+    as ascending vertex lists, or return None when no such colouring exists.
 
     A vertex's cover is N[x] in closed mode and N(x) in open mode.  Per
     vertex x we track, against its cover, the per-class hit counts, the
@@ -231,7 +240,10 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
                 if w < 0 or sx < w_slack or (sx == w_slack and dx > w_deficit):
                     w, w_slack, w_deficit = x, sx, dx
         if w < 0:
-            return [max(c, 0) for c in color]
+            classes: list[list[int]] = [[] for _ in range(num_classes)]
+            for v, c in enumerate(color):
+                classes[max(c, 0)].append(v)
+            return classes
         # colour the lowest-id uncoloured vertex of w's cover (0 < deficit <= undecided, so one
         # exists), trying the classes short at w first
         for v in cover_bits[w]:
@@ -256,16 +268,9 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
             return None
 
 
-def _classes_from_coloring(color: list[int], num_classes: int) -> tuple[tuple[int, ...], ...]:
-    classes: list[list[int]] = [[] for _ in range(num_classes)]
-    for v, c in enumerate(color):
-        classes[c].append(v)
-    return tuple([tuple(cls) for cls in classes])
-
-
 def _minimum_set_rule(
     g: Graph, k: int, mode: str, top: int, gamma: GammaResult
-) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+) -> tuple[int, list[tuple[int, ...]] | None]:
     """Settle class counts from the family of minimum sets.
 
     In a partition into c classes, each of at least gamma vertices and
@@ -296,7 +301,7 @@ def _minimum_set_rule(
         packing.append(found)
         used |= found
     if len(packing) == want:
-        return top, tuple(sorted([bit_list(mask) for mask in packing])) if top * size == n else None
+        return top, [bit_list(mask) for mask in packing] if top * size == n else None
 
     hit = 0
     while hit.bit_count() < want:
@@ -330,15 +335,14 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     if gamma is None:
         gamma = gamma_xk(g, k, mode)
     bounds = _search_bounds(g, k, mode, gamma)
-    top, classes = _minimum_set_rule(g, k, mode, bounds.ceiling, gamma)
-    if classes is not None:
-        return DomaticResult(top, DomaticPartition(classes, k, mode), bounds)
-    for count in range(top, 1, -1):
-        color = _find_partition(g, k, mode, count, gamma.value)
-        if color is not None:
-            witness = DomaticPartition(_classes_from_coloring(color, count), k, mode)
-            return DomaticResult(count, witness, bounds)
-    return DomaticResult(1, DomaticPartition((tuple(range(g.n)),), k, mode), bounds)
+    count, classes = _minimum_set_rule(g, k, mode, bounds.ceiling, gamma)
+    while classes is None and count > 1:
+        classes = _find_partition(g, k, mode, count, gamma.value)
+        if classes is None:
+            count -= 1
+    if classes is None:  # no count of 2 or more is feasible
+        classes = [range(g.n)]
+    return DomaticResult(count, _partition(classes, k, mode), bounds)
 
 
 def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = None) -> DomaticResult:
@@ -370,45 +374,41 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | Non
     bounds = _search_bounds(g, k, mode, gamma)
     nbrs = [set(g.neighbors(v)) for v in range(n)]
 
-    best_count = 1
-    best_blocks = [tuple(range(n))]
+    best = [(1 << n) - 1]  # the best partition so far, as block masks
     max_blocks = bounds.ceiling
-    if max_blocks >= 2:
-        blocks: list[int] = []  # vertex masks, in restricted-growth order
-        passes: dict[int, bool] = {}  # the literal test, once per mask
+    blocks: list[int] = []  # vertex masks, in restricted-growth order
+    passes: dict[int, bool] = {}  # the literal test, once per mask
 
-        def rec(v: int) -> None:
-            nonlocal best_count, best_blocks
-            if min(max_blocks, len(blocks) + (n - v)) <= best_count:
+    def rec(v: int) -> None:
+        nonlocal best
+        if min(max_blocks, len(blocks) + (n - v)) <= len(best):
+            return
+        rest = (1 << n) - (1 << v)  # the vertices still to place
+        for b in blocks:
+            mask = b | rest
+            ok = passes.get(mask)
+            if ok is None:
+                ok = passes[mask] = satisfies_by_cases(nbrs, set(bit_list(mask)), k, mode)
+            if not ok:
                 return
-            rest = (1 << n) - (1 << v)  # the vertices still to place
-            for b in blocks:
-                mask = b | rest
-                ok = passes.get(mask)
-                if ok is None:
-                    ok = passes[mask] = satisfies_by_cases(nbrs, set(bit_list(mask)), k, mode)
-                if not ok:
-                    return
-            if v == n:  # rest is empty, so every block passed the test as it stands
-                best_count = len(blocks)
-                best_blocks = [bit_list(b) for b in blocks]
-                return
-            bit = 1 << v
-            for i in range(len(blocks)):
-                blocks[i] |= bit
-                rec(v + 1)
-                blocks[i] ^= bit
-            if len(blocks) < max_blocks:
-                blocks.append(bit)
-                rec(v + 1)
-                blocks.pop()
+        if v == n:  # rest is empty, so every block passed the test as it stands
+            best = blocks.copy()
+            return
+        bit = 1 << v
+        for i in range(len(blocks)):
+            blocks[i] |= bit
+            rec(v + 1)
+            blocks[i] ^= bit
+        if len(blocks) < max_blocks:
+            blocks.append(bit)
+            rec(v + 1)
+            blocks.pop()
 
-        try:
-            rec(0)
-        finally:
-            del rec  # it refers to itself; drop that cycle instead of leaving it to the collector
-    witness = DomaticPartition(tuple(best_blocks), k, mode)
-    return DomaticResult(best_count, witness, bounds)
+    try:
+        rec(0)
+    finally:
+        del rec  # it refers to itself; drop that cycle instead of leaving it to the collector
+    return DomaticResult(len(best), _partition([bit_list(b) for b in best], k, mode), bounds)
 
 
 def zelinka_partition(g: Graph, k: int) -> DomaticPartition | None:
@@ -425,15 +425,9 @@ def zelinka_partition(g: Graph, k: int) -> DomaticPartition | None:
     count = zelinka_floor(g, k)
     if count == 0:
         return None
-    n = g.n
-    base = k * (n - g.min_degree)
-    sizes = [base] * (count - 1) + [base + n - count * base]
-    classes: list[tuple[int, ...]] = []
-    start = 0
-    for size in sizes:
-        classes.append(tuple(range(start, start + size)))
-        start += size
-    for cls in classes:
-        if not is_ktuple_dominating(g, cls, k):
-            raise AssertionError("internal error: constructed block fails the membership test")
-    return DomaticPartition(tuple(classes), k, "closed")
+    base = k * (g.n - g.min_degree)
+    cuts = [*range(0, count * base, base), g.n]
+    blocks = [range(start, stop) for start, stop in zip(cuts, cuts[1:])]
+    if not all(_dominates(g.closed, (1 << b.stop) - (1 << b.start), k) for b in blocks):
+        raise AssertionError("internal error: constructed block fails the membership test")
+    return _partition(blocks, k, "closed")

@@ -82,11 +82,15 @@ def vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
 # predicates
 
 
+def _dominates(covers: Iterable[int], mask: int, k: int) -> bool:
+    """The uniform test: every cover meets the vertex mask in at least k vertices."""
+    return all((c & mask).bit_count() >= k for c in covers)
+
+
 def is_ktuple_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
     """Uniform membership test: |N[v] & S| >= k for every vertex v."""
     _check_k(k)
-    mask = vertex_mask(g, s)
-    return all((c & mask).bit_count() >= k for c in g.closed)
+    return _dominates(g.closed, vertex_mask(g, s), k)
 
 
 def satisfies_by_cases(nbrs: list[set[int]], members: set[int], k: int, mode: str) -> bool:
@@ -110,11 +114,7 @@ def is_ktuple_dominating_by_cases(g: Graph, s: Iterable[int], k: int) -> bool:
     exhaustively on small graphs.
     """
     _check_k(k)
-    members = set()
-    for v in s:
-        if not (isinstance(v, int) and 0 <= v < g.n):
-            raise ValueError(f"vertex {v!r} outside 0..{g.n - 1}")
-        members.add(v)
+    members = set(iter_bits(vertex_mask(g, s)))
     nbrs = [set(g.neighbors(v)) for v in range(g.n)]
     return satisfies_by_cases(nbrs, members, k, "closed")
 
@@ -122,8 +122,7 @@ def is_ktuple_dominating_by_cases(g: Graph, s: Iterable[int], k: int) -> bool:
 def is_ktuple_total_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
     """Open-neighbourhood test: |N(v) & S| >= k for every vertex v."""
     _check_k(k)
-    mask = vertex_mask(g, s)
-    return all((a & mask).bit_count() >= k for a in g.adj)
+    return _dominates(g.adj, vertex_mask(g, s), k)
 
 
 # ---------------------------------------------------------------------------

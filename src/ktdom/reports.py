@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .domatic import ORACLE_PARTITION_CAP, DomaticResult, d_oracle, d_xk
-from .domination import ORACLE_VERTEX_CAP, GammaResult, _needed_degree, gamma_oracle, gamma_xk
+from .domination import ORACLE_VERTEX_CAP, GammaResult, OracleCapError, _needed_degree, gamma_oracle, gamma_xk
 from .graphs import Graph
 
 
@@ -94,7 +94,7 @@ def cross_check(g: Graph, report: InvariantReport) -> tuple[str, ...]:
     references; returns one line per disagreement.  Each mode's gamma_oracle
     runs once: d_oracle takes its result, never gamma_xk's.
 
-    The references have vertex caps, so a graph above them is a ValueError.
+    The references have vertex caps, so a graph above them is an OracleCapError.
     """
     _check_oracle_cap(g)
     mismatches: list[str] = []
@@ -120,4 +120,4 @@ def _check_oracle_cap(g: Graph) -> None:
     """Refuse a graph above the references' vertex caps, before any search."""
     cap = min(ORACLE_VERTEX_CAP, ORACLE_PARTITION_CAP)
     if g.n > cap:
-        raise ValueError(f"oracle cross-check needs n <= {cap}, got n = {g.n}")
+        raise OracleCapError(f"oracle cross-check needs n <= {cap}, got n = {g.n}")

@@ -71,6 +71,10 @@ REJECTED_CASES = [
     ("from-file", "exactly one path"),
     ("from-file ''", "from-file needs a path"),
     ("moebius 8", "unknown family 'moebius'"),
+    # the vertex limit of read_graph, checked before any edge is built
+    ("path 10001", "vertex count 10001 exceeds the limit of 10000"),
+    ("k-join path:9999 clique-chain:1 --join-k 1", "vertex count 10003 exceeds the limit"),
+    ("disjoint-union path:-5 path:10010", "vertex count 10010 exceeds the limit"),
 ]
 
 
@@ -331,6 +335,15 @@ class TestEnsemble:
         assert code == 2
         assert err == "error: oracle cross-check needs n <= 10, got n = 11\n"
         assert out == "" and calls == []
+
+    @pytest.mark.parametrize("model, generator, param", [("gnp", "gnp", "--p=0.5"),
+                                                          ("random-regular", "random_regular", "--r=3")])
+    def test_vertex_limit_refused_before_building(self, monkeypatch, capsys, model, generator, param):
+        replace_everywhere(monkeypatch, generator, lambda *args: pytest.fail("built"))
+        code, out, err = run(capsys, "ensemble", "--model", model, "--n", "10001", param,
+                             "--count", "1", "--seed", "1", "--k", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: vertex count 10001 exceeds the limit of 10000\n"
 
     def test_oracle_mismatch_exits_1(self, monkeypatch, capsys):
         replace_everywhere(monkeypatch, "d_oracle", shifted_d_oracle)

@@ -7,7 +7,7 @@ import signal
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktdom import (
@@ -85,10 +85,11 @@ def within(seconds, solve, label):
 
 
 def minimum_set_rule(g, k, mode):
-    """The rule as d_xk applies it: (largest count left open, slack-0 classes or None, top)."""
+    """The rule as d_xk applies it: (largest count left open, slack-0 partition or None, top)."""
     gamma = gamma_xk(g, k, mode)
     top = domatic._search_bounds(g, k, mode, gamma).ceiling
-    return (*domatic._minimum_set_rule(g, k, mode, top, gamma), top)
+    left, classes = domatic._minimum_set_rule(g, k, mode, top, gamma)
+    return left, None if classes is None else domatic._partition(classes, k, mode), top
 
 
 @pytest.mark.parametrize("g, k, mode, expected", FROZEN_D)
@@ -151,6 +152,21 @@ class TestDomaticSolver:
         res = d_xk(g, k, mode)
         assert len(res.witness.classes) == res.value
         assert is_domatic_partition(g, res.witness)
+
+    @given(graphs(max_n=8), st.integers(1, 3), st.sampled_from(["closed", "open"]))
+    @example(Graph(8, [(0, 2), (0, 3), (1, 3), (1, 7), (2, 4), (2, 7), (3, 4), (3, 5), (4, 6), (4, 7), (5, 6),
+                       (5, 7)]), 1, "closed")  # a colouring that opens the class of 3 before that of 2
+    @settings(max_examples=200, deadline=None)
+    def test_witness_classes_are_ordered_by_minimum(self, g, k, mode):
+        # the order DomaticPartition promises, from each solver that builds one
+        if gated(g, k, mode):
+            return
+        witnesses = [d_xk(g, k, mode).witness, d_oracle(g, k, mode).witness]
+        if mode == "closed":
+            witnesses.append(zelinka_partition(g, k))  # None when its floor is 0
+        for p in filter(None, witnesses):
+            assert all(list(cls) == sorted(set(cls)) for cls in p.classes)
+            assert [cls[0] for cls in p.classes] == sorted(cls[0] for cls in p.classes)
 
     @given(graphs(), st.integers(1, 3), st.sampled_from(["closed", "open"]))
     @settings(deadline=None)
@@ -315,20 +331,20 @@ class TestMinimumSetRule:
 
     def test_slack_zero_packing_is_the_witness(self):
         # C6 at k = 1: gamma = 2 and three classes, so the three disjoint minimum sets are the partition
-        left, classes, top = minimum_set_rule(cycle(6), 1, "closed")
+        left, packing, top = minimum_set_rule(cycle(6), 1, "closed")
         assert (left, top) == (3, 3)
-        assert d_xk(cycle(6), 1).witness.classes == classes == ((0, 3), (1, 4), (2, 5))
+        assert d_xk(cycle(6), 1).witness.classes == packing.classes == ((0, 3), (1, 4), (2, 5))
 
     @given(graphs(max_n=8), st.integers(1, 2), st.sampled_from(["closed", "open"]))
     @settings(max_examples=300, deadline=None)
     def test_refuted_counts_lie_above_the_oracle(self, g, k, mode):
         if gated(g, k, mode):
             return
-        left, classes, top = minimum_set_rule(g, k, mode)
+        left, packing, top = minimum_set_rule(g, k, mode)
         assert d_oracle(g, k, mode).value <= left <= top
-        if classes is not None:
-            assert len(classes) == top
-            assert is_domatic_partition(g, DomaticPartition(classes, k, mode))
+        if packing is not None:
+            assert len(packing.classes) == top
+            assert is_domatic_partition(g, packing)
 
     @pytest.mark.parametrize("n", [11, 12, 13, 14])
     @pytest.mark.parametrize("p", [0.5, 0.7])

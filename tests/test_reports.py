@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ktdom import complete, compute_invariants, cycle, gnp, path, verify_all
+from ktdom import OracleCapError, complete, compute_invariants, cycle, gnp, path, verify_all
 from ktdom import domatic, reports
 from ktdom.reports import cross_check
 
@@ -50,8 +50,12 @@ def test_oracle_cross_check_clean_on_small_graphs():
 
 
 def test_oracle_cross_check_refuses_large_graphs():
-    with pytest.raises(ValueError, match="oracle cross-check needs"):
-        compute_invariants(gnp(11, 0.5, 1), 1, with_oracle=True)
+    # the oracles' own error, so that one except clause catches every refusal
+    g = gnp(11, 0.5, 1)
+    with pytest.raises(OracleCapError, match="oracle cross-check needs n <= 10, got n = 11"):
+        compute_invariants(g, 1, with_oracle=True)
+    with pytest.raises(OracleCapError, match="oracle cross-check needs n <= 10, got n = 11"):
+        cross_check(g, compute_invariants(g, 1))
 
 
 def test_cross_check_skips_a_gated_mode(monkeypatch):
