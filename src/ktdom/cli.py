@@ -22,8 +22,8 @@ import sys
 import warnings
 
 from .bounds import CHECK_IDS, BoundsReport, verify_all
-from .graphs import (MAX_READ_VERTICES, Graph, clique_chain, complete, complete_bipartite, cycle, disjoint_union, gnp,
-                     k_join, path, random_regular, read_graph, write_graph)
+from .graphs import (MAX_READ_VERTICES, Graph, PairingFailureError, clique_chain, complete, complete_bipartite, cycle,
+                     disjoint_union, gnp, k_join, path, random_regular, read_graph, write_graph)
 from .reports import _check_oracle_cap, compute_invariants, cross_check
 
 NA = "NA"
@@ -82,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         # still buffered to devnull so the flush at exit cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, PairingFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -147,12 +147,12 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
     vertex x we track, against its cover, the per-class hit counts, the
     undecided coverage, and the deficit sum(max(0, k - hits)).
     The search is fail-first, as in DSATUR: it picks the vertex w with the
-    least slack (undecided coverage minus deficit; ties go to the larger
-    deficit, then the lower id), colours the lowest-id uncoloured vertex of
-    w's cover, and tries first the classes still short at w, then the rest,
-    each group in id order; nothing below the choice of w is scored.  A
-    vertex joins an opened class or opens the next one, which kills class
-    permutation symmetry; once every deficit is met the rest join class 0.
+    least slack (undecided coverage minus deficit; ties go to the lower id),
+    colours the lowest-id uncoloured vertex of w's cover, and tries first
+    the classes still short at w, then the rest, each group in id order;
+    nothing below the choice of w is scored.  A vertex joins an opened class
+    or opens the next one, which kills class permutation symmetry; once
+    every deficit is met the rest join class 0.
 
     Two rules prune.  Each undecided cover vertex repairs at most one unit
     of one class, so deficit > undecided fails.  Class c still needs
@@ -230,15 +230,15 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
 
     stack: list[list] = []  # frames [vertex, classes in the order to try, next index]
     while True:
-        # the tightest vertex w: least slack, then largest deficit, then lowest id
+        # the tightest vertex w: least slack, then lowest id
         w = -1
-        w_slack = w_deficit = 0
+        w_slack = 0
         for x in range(n):
             dx = deficit[x]
             if dx:
                 sx = undecided[x] - dx
-                if w < 0 or sx < w_slack or (sx == w_slack and dx > w_deficit):
-                    w, w_slack, w_deficit = x, sx, dx
+                if w < 0 or sx < w_slack:
+                    w, w_slack = x, sx
         if w < 0:
             classes: list[list[int]] = [[] for _ in range(num_classes)]
             for v, c in enumerate(color):

@@ -184,15 +184,12 @@ def _smaller_set(
 
     Returns the smallest such set's mask, or None, and the number of nodes
     explored; every set found lowers the bound.  With ``first`` the search
-    returns the first set it meets and takes high-degree vertices first,
-    which reach a set sooner; otherwise it takes them in ascending degree
-    order, which lets the bounds prove a minimum sooner.
+    returns the first set it meets.  The vertices are taken in id order.
     """
     covers = g.covers(mode)
     cover_bits = g.cover_lists(mode)
     n = g.n
-    # sorted is stable, also in reverse, so ties stay in id order
-    order = sorted([v for v in range(n) if not banned >> v & 1], key=g.deg.__getitem__, reverse=first)
+    order = [v for v in range(n) if not banned >> v & 1]
     last = len(order)
     ordered_covers = [covers[v] for v in order]
     # undecided[i]: the vertices order[i:], still undecided at depth i
@@ -257,9 +254,9 @@ def _smaller_set(
 def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
     """Exact minimum cardinality of a k-tuple (total) dominating set.
 
-    Branch and bound over vertices in ascending degree order, taking a
-    vertex before leaving it out.  Each vertex v carries a residual demand
-    (k minus its current in-set coverage).  Three rules prune a branch: some
+    Branch and bound over the vertices in id order, taking a vertex before
+    leaving it out.  Each vertex v carries a residual demand (k minus its
+    current in-set coverage).  Three rules prune a branch: some
     demand exceeds what the undecided vertices could still supply;
     |chosen| + the largest demand cannot beat the incumbent; or |chosen| +
     ceil(total demand / most) cannot, where most is the largest number of

@@ -226,6 +226,17 @@ class TestCompute:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "exceeds the limit" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        "gen random-regular 12 9 --seed 1",
+        "ensemble --model random-regular --n 12 --r 9 --count 1 --seed 1 --k 1",
+    ])
+    def test_pairing_failure_exits_2(self, capsys, argv):
+        # the pairing model finds no simple 9-regular graph on 12 vertices within its retry budget
+        code, out, err = run(capsys, *shlex.split(argv))
+        assert (code, out) == (2, "")
+        assert err == "error: pairing model produced no simple graph in 1000 attempts (n=12, r=9)\n"
+        assert "Traceback" not in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "compute", "--input", "/nonexistent.txt", "--k", "1")
         assert code == 2

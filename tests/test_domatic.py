@@ -285,6 +285,13 @@ class TestFailFirstSearch:
         assert res.value == 10
         assert is_domatic_partition(g, res.witness)
 
+    def test_dense_open_k2_reaches_its_ceiling(self):
+        # 8 classes are found at the ceiling in well under a second, so a slow find shows as a stall
+        g = gnp(28, 0.8, 7)
+        res = within(3, lambda: d_xk(g, 2, "open"), "d_xk(gnp(28, 0.8, 7), 2, 'open')")
+        assert res.value == res.bounds_used.ceiling == 8
+        assert is_domatic_partition(g, res.witness)
+
     def test_search_depth_is_not_bounded_by_recursion(self):
         # 60 vertices are coloured one below the other on an explicit stack
         g = complement(cycle(60))

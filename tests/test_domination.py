@@ -252,6 +252,14 @@ class TestGammaSolver:
             sys.setrecursionlimit(limit)
         assert (res.value, res.nodes_explored) == (28, 401)
 
+    def test_sparse_open_search_stays_small(self):
+        # the search proves this minimum in about 90,000 nodes; the cap catches a vertex
+        # order that needs ten times as many
+        res = gamma_xk(gnp(32, 0.3, 149), 3, "open")
+        assert res.value == 11
+        assert is_ktuple_total_dominating(gnp(32, 0.3, 149), res.witness, 3)
+        assert res.nodes_explored < 200_000
+
 
 class TestOracle:
     def test_cap_is_enforced(self, monkeypatch):
