@@ -1,12 +1,13 @@
 """Verification of the known bounds tying the k-tuple invariants together.
 
 verify_all takes the invariants of one (graph, k) pair from
-compute_invariants, adds the complement's domatic number, and evaluates a
-fixed catalogue of checks (C1..C11).  Each check reports one of four
-statuses: "holds" (strict), "sharp" (holds with equality), "violated"
-(the solver output contradicts a proven bound, so a solver bug), or
-"not-applicable" (a hypothesis such as a degree gate fails).  Real-valued
-bounds are compared in exact rational arithmetic, never floats.
+compute_invariants, adds the complement's domatic number (solved only when
+its degree ceiling exceeds 1), and evaluates a fixed catalogue of checks
+(C1..C11).  Each check reports one of four statuses: "holds" (strict),
+"sharp" (holds with equality), "violated" (the solver output contradicts a
+proven bound, so a solver bug), or "not-applicable" (a hypothesis such as a
+degree gate fails).  Real-valued bounds are compared in exact rational
+arithmetic, never floats.
 
 Two catalogue entries enforce slightly tightened forms because the naive
 statements fail on boundary instances:
@@ -181,6 +182,11 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
 
     Degree-gate failures mark the affected checks not-applicable instead of
     aborting, so batch callers always get a full report.
+
+    The only solve of its own is the complement's d for C7; γ and d come
+    from compute_invariants.  The complement is built and solved only when
+    its degree ceiling (n - Delta) // k is 2 or more; below that,
+    d(complement) = 1 is forced.
     """
     inv = compute_invariants(g, k)
     n = g.n
@@ -203,9 +209,18 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
     d = d_res.value
     d_t_res = inv.domatic_total
 
-    gbar = complement(g)
-    comp_ok = gbar.min_degree >= need
-    dbar_res = d_xk(gbar, k) if comp_ok else None
+    # C7 reads only d(complement).  The complement's minimum degree is
+    # n - 1 - Delta; when that is at most 2k - 2 its degree ceiling is 1
+    # (C6 on the complement), so d(complement) = 1 and nothing is built or searched.
+    delta_bar = n - 1 - Delta
+    dbar_res = None
+    if delta_bar < need:
+        dbar = None
+    elif delta_bar <= 2 * k - 2:
+        dbar = 1
+    else:
+        dbar_res = d_xk(complement(g), k)
+        dbar = dbar_res.value
 
     r_used: int | None = None
     checks: list[CheckResult] = []
@@ -270,10 +285,9 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
         checks.append(_result("C6", d, 1, HOLDS if d == 1 else VIOLATED))
 
     # C7
-    if not comp_ok:
-        checks.append(_na("C7", f"complement minimum degree {gbar.min_degree} < {need}"))
+    if dbar is None:
+        checks.append(_na("C7", f"complement minimum degree {delta_bar} < {need}"))
     else:
-        dbar = dbar_res.value
         total = d + dbar
         bound = Fraction(n + 1, k)
         if total > bound:
@@ -294,7 +308,7 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
                 else:
                     if d >= dbar:
                         big, side = d_res, "graph"
-                    else:
+                    else:  # dbar > d >= 1, so the complement was solved
                         big, side = dbar_res, "complement"
                     r = min(len(cls) for cls in big.witness.classes)
                     r_used = r
@@ -362,7 +376,7 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
         gamma, d,
         inv.gamma_total.value if inv.gamma_total else None,
         d_t_res.value if d_t_res else None,
-        dbar_res.value if dbar_res else None,
+        dbar,
         r_used,
         tuple(checks), inv,
     )

@@ -356,10 +356,14 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | Non
     Blocks are vertex masks, and the test runs at most once per distinct
     mask.  Before placing vertex v, a block b whose b | {v..n-1} fails is
     dropped with its branch: every class grown from b lies inside that mask,
-    and supersets of valid sets are valid, so none of them can pass.  Only
-    branches without a valid partition are cut, so the first best partition
-    in restricted-growth order is still the one returned.  Hard error above
-    the cap.
+    and supersets of valid sets are valid, so none of them can pass.  Before
+    that test, the class sizes prune: every valid class has at least gamma
+    members, so a branch is dropped when filling its blocks up to gamma
+    needs more than the n - v vertices left, or when the blocks plus
+    (n - v - that need) // gamma new ones cannot beat the best count.  Only
+    branches without a valid partition of more classes than the best are
+    cut, so the first best partition in restricted-growth order is still
+    the one returned.  Hard error above the cap.
 
     ``gamma`` may pass a precomputed gamma_oracle(g, k, mode) result to
     avoid a second minimum solve; a result for another k or mode is a
@@ -376,12 +380,15 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | Non
 
     best = [(1 << n) - 1]  # the best partition so far, as block masks
     max_blocks = bounds.ceiling
+    size = gamma.value  # every valid class has at least this many members
     blocks: list[int] = []  # vertex masks, in restricted-growth order
     passes: dict[int, bool] = {}  # the literal test, once per mask
 
-    def rec(v: int) -> None:
+    def rec(v: int, short: int) -> None:
+        """Place vertices v..n-1; the blocks lack ``short`` members in all to reach size."""
         nonlocal best
-        if min(max_blocks, len(blocks) + (n - v)) <= len(best):
+        spare = n - v - short  # each new block takes size of these
+        if spare < 0 or min(max_blocks, len(blocks) + spare // size) <= len(best):
             return
         rest = (1 << n) - (1 << v)  # the vertices still to place
         for b in blocks:
@@ -397,15 +404,15 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | Non
         bit = 1 << v
         for i in range(len(blocks)):
             blocks[i] |= bit
-            rec(v + 1)
+            rec(v + 1, short - (blocks[i].bit_count() <= size))
             blocks[i] ^= bit
         if len(blocks) < max_blocks:
             blocks.append(bit)
-            rec(v + 1)
+            rec(v + 1, short + size - 1)
             blocks.pop()
 
     try:
-        rec(0)
+        rec(0, 0)
     finally:
         del rec  # it refers to itself; drop that cycle instead of leaving it to the collector
     return DomaticResult(len(best), _partition([bit_list(b) for b in best], k, mode), bounds)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -15,16 +16,20 @@ from ktdom import (
     NOT_APPLICABLE,
     SHARP,
     VIOLATED,
+    complement,
     complete,
     complete_bipartite,
     cycle,
+    d_xk,
     disjoint_union,
     gnp,
     path,
     verify_all,
 )
 from ktdom import bounds, domination
+from ktdom.domatic import degree_ceiling
 from strategies import graphs
+from test_domatic import within
 
 
 def statuses(report):
@@ -134,6 +139,35 @@ class TestIndividualChecks:
         # complement of K5 is edgeless: delta = 0 < k - 1 for k = 2
         report = verify_all(complete(5), 2)
         assert report.check("C7").status == NOT_APPLICABLE
+
+    def test_complement_at_ceiling_one_is_not_solved(self, monkeypatch):
+        # the complement's degree ceiling (n - Delta) // k is 1, so d(complement) = 1 is forced
+        for name in ("complement", "d_xk"):
+            monkeypatch.setattr(bounds, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+        report = verify_all(complete(5), 1)
+        assert report.check("C7").status != NOT_APPLICABLE and report.d_complement == 1
+        # dense: solving this complement takes about 5 s
+        report = within(2, lambda: verify_all(gnp(36, 0.9, 2), 2), "verify_all(gnp(36, 0.9, 2), 2)")
+        assert report.check("C7").status != NOT_APPLICABLE and report.d_complement == 1
+        assert report.d == 12
+
+    def test_complement_value_matches_its_solve(self):
+        kinds = set()
+        for n, p, seed in itertools.product(range(4, 13), (0.3, 0.5, 0.7, 0.9, 0.95), (1, 2, 3)):
+            g = gnp(n, p, seed)
+            gbar = complement(g)
+            for k in (1, 2, 3):
+                report = verify_all(g, k)
+                if report.gamma is None:
+                    continue
+                if gbar.min_degree < k - 1:
+                    kinds.add("gated")
+                    assert report.check("C7").status == NOT_APPLICABLE
+                    assert report.d_complement is None
+                    continue
+                kinds.add("ceiling 1" if degree_ceiling(gbar, k, "closed") == 1 else "ceiling 2+")
+                assert report.d_complement == d_xk(gbar, k).value, (n, p, seed, k)
+        assert kinds == {"gated", "ceiling 1", "ceiling 2+"}
 
     def test_single_vertex_complement_sum(self):
         # K1 is self-complementary with d = 1 on both sides: sum = 2 = (n+1)/k

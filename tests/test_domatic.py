@@ -380,6 +380,15 @@ class TestDomaticOracle:
         if not gated(g, k, mode):
             assert certified(g, k, mode, d_oracle(g, k, mode).value)
 
+    # n = 8-10, above the hypothesis graphs of the test before (n <= 7)
+    @pytest.mark.parametrize("n, p, seed", [(8 + i % 3, (0.5, 0.6, 0.7, 0.8, 0.9)[i % 5], i) for i in range(20)])
+    def test_partition_count_certifies_seeded_values(self, n, p, seed):
+        g = gnp(n, p, seed)
+        for k in (1, 2):
+            for mode in ("closed", "open"):
+                if not gated(g, k, mode):
+                    assert certified(g, k, mode, d_oracle(g, k, mode).value), (k, mode)
+
     def test_precomputed_gamma_must_match_k_and_mode(self):
         g = cycle(6)
         with pytest.raises(ValueError, match="gamma result is for k=2"):
