@@ -2,12 +2,12 @@
 
 verify_all takes the invariants of one (graph, k) pair from
 compute_invariants, adds the complement's domatic number (solved only when
-its degree ceiling exceeds 1), and evaluates a fixed catalogue of checks
-(C1..C11).  Each check reports one of four statuses: "holds" (strict),
-"sharp" (holds with equality), "violated" (the solver output contradicts a
-proven bound, so a solver bug), or "not-applicable" (a hypothesis such as a
-degree gate fails).  Real-valued bounds are compared in exact rational
-arithmetic, never floats.
+domatic.degree_ceiling at the complement's minimum degree exceeds 1), and
+evaluates a fixed catalogue of checks (C1..C11).  Each check reports one of
+four statuses: "holds" (strict), "sharp" (holds with equality), "violated"
+(the solver output contradicts a proven bound, so a solver bug), or
+"not-applicable" (a hypothesis such as a degree gate fails).  Real-valued
+bounds are compared in exact rational arithmetic, never floats.
 
 Two catalogue entries enforce slightly tightened forms because the naive
 statements fail on boundary instances:
@@ -185,14 +185,14 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
 
     The only solve of its own is the complement's d for C7; γ and d come
     from compute_invariants.  The complement is built and solved only when
-    its degree ceiling (n - Delta) // k is 2 or more; below that,
+    degree_ceiling at its minimum degree n - 1 - Delta is 2 or more; at 1,
     d(complement) = 1 is forced.
     """
     inv = compute_invariants(g, k)
     n = g.n
     delta = g.min_degree
     Delta = g.max_degree
-    regular = delta == Delta
+    regular = g.is_regular()
     bipartite = g.is_bipartite()
 
     need = _needed_degree(k, "closed")
@@ -209,14 +209,15 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
     d = d_res.value
     d_t_res = inv.domatic_total
 
-    # C7 reads only d(complement).  The complement's minimum degree is
-    # n - 1 - Delta; when that is at most 2k - 2 its degree ceiling is 1
-    # (C6 on the complement), so d(complement) = 1 and nothing is built or searched.
+    # C7 reads only d(complement), which the complement's degree ceiling
+    # frames: at 0 the complement has no k-tuple dominating set, and at 1
+    # (C6 on the complement) d(complement) = 1 and nothing is built or searched.
     delta_bar = n - 1 - Delta
+    ceiling_bar = degree_ceiling(delta_bar, k, "closed")
     dbar_res = None
-    if delta_bar < need:
+    if ceiling_bar == 0:
         dbar = None
-    elif delta_bar <= 2 * k - 2:
+    elif ceiling_bar == 1:
         dbar = 1
     else:
         dbar_res = d_xk(complement(g), k)
@@ -240,7 +241,7 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
         for v in range(n) if g.deg[v] == delta
     )
     checks.append(_compare(
-        "C2", d, degree_ceiling(g, k, "closed"), split_ok,
+        "C2", d, d_res.bounds_used.degree_ceiling, split_ok,
         "class count attains the degree ceiling"
         + ("; every class meets each minimum-degree closed neighbourhood exactly k times" if exact_split else ""),
         "exact equality d = (delta+1)/k forces |N[v] & class| = k for minimum-degree v",
@@ -278,8 +279,8 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
             checks.append(_compare("C5b", gamma + d, Fraction(n, 2) + 2))
 
     # C6: two disjoint classes would need 2k closed neighbours at a
-    # minimum-degree vertex.
-    if delta > 2 * k - 2:
+    # minimum-degree vertex, so C6 applies exactly at degree ceiling 1.
+    if d_res.bounds_used.degree_ceiling > 1:
         checks.append(_na("C6", f"needs delta <= 2k-2 = {2 * k - 2}, have delta = {delta}"))
     else:
         checks.append(_result("C6", d, 1, HOLDS if d == 1 else VIOLATED))

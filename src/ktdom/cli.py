@@ -42,6 +42,9 @@ _INTEGER_FAMILIES = {
     "clique-chain": (clique_chain, 1, 4),
 }
 
+# the BoundsReport values an ensemble row writes, in column order
+_REPORT_COLUMNS = ("n", "edge_count", "delta", "Delta", "k", "gamma", "d", "gamma_total", "d_total", "d_complement")
+
 CSV_COLUMNS = (
     "instance_id",
     "model",
@@ -49,16 +52,7 @@ CSV_COLUMNS = (
     "p",
     "r_param",
     "instance_seed",
-    "n",
-    "edge_count",
-    "delta",
-    "Delta",
-    "k",
-    "gamma",
-    "d",
-    "gamma_total",
-    "d_total",
-    "d_complement",
+    *_REPORT_COLUMNS,
     *(f"check_{cid}" for cid in CHECK_IDS),
 )
 
@@ -341,16 +335,7 @@ def _row(args: argparse.Namespace, index: int, seed: int, report: BoundsReport) 
         cell(args.p if args.model == "gnp" else None),
         cell(args.r if args.model == "random-regular" else None),
         seed,
-        report.n,
-        report.edge_count,
-        report.delta,
-        report.Delta,
-        report.k,
-        cell(report.gamma),
-        cell(report.d),
-        cell(report.gamma_total),
-        cell(report.d_total),
-        cell(report.d_complement),
+        *[cell(getattr(report, name)) for name in _REPORT_COLUMNS],
     ]
     by_id = {check.check_id: check.status for check in report.checks}
     row.extend(by_id[cid] for cid in CHECK_IDS)

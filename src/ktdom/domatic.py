@@ -51,10 +51,10 @@ class SearchBounds:
     zelinka_floor is max(1, floor(n / (k(n-delta)))) in closed mode, the
     constructive lower bound raised to the trivial 1 when the raw floor is
     0, and 1 in open mode; it is only reported, and no search reads it.
-    degree_ceiling is floor((delta+1)/k) (closed) or floor(delta/k) (open);
-    gamma_ceiling is floor(n / minimum set size), since gamma * d <= n.
-    ceiling, the smaller of the two ceilings, is where both d_xk and
-    d_oracle start; to_dict() does not write it.
+    degree_ceiling is degree_ceiling(delta, k, mode); gamma_ceiling is
+    floor(n / minimum set size), since gamma * d <= n.  ceiling, the
+    smaller of the two ceilings, is where both d_xk and d_oracle start;
+    to_dict() does not write it.
     """
 
     zelinka_floor: int
@@ -114,10 +114,12 @@ def _partition(classes: Iterable[Sequence[int]], k: int, mode: str) -> DomaticPa
     return DomaticPartition(tuple(sorted([tuple(cls) for cls in classes])), k, mode)
 
 
-def degree_ceiling(g: Graph, k: int, mode: str) -> int:
-    """floor((delta+1)/k) in closed mode, floor(delta/k) in open mode: a
-    minimum-degree vertex splits its coverage among the classes, k each."""
-    return (g.min_degree + 1) // k if mode == "closed" else g.min_degree // k
+def degree_ceiling(delta: int, k: int, mode: str) -> int:
+    """floor((delta+1)/k) in closed mode, floor(delta/k) in open mode, for
+    minimum degree delta: a minimum-degree vertex splits its coverage among
+    the classes, k each.  It is 0 exactly when no k-tuple (total)
+    dominating set exists."""
+    return (delta + 1) // k if mode == "closed" else delta // k
 
 
 def zelinka_floor(g: Graph, k: int) -> int:
@@ -132,7 +134,7 @@ def _search_bounds(g: Graph, k: int, mode: str, gamma: GammaResult) -> SearchBou
     if (gamma.k, gamma.mode) != (k, mode):
         raise ValueError(f"gamma result is for k={gamma.k}, mode={gamma.mode!r}, not k={k}, mode={mode!r}")
     floor = max(1, zelinka_floor(g, k)) if mode == "closed" else 1
-    return SearchBounds(floor, degree_ceiling(g, k, mode), g.n // gamma.value)
+    return SearchBounds(floor, degree_ceiling(g.min_degree, k, mode), g.n // gamma.value)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +161,8 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
     max(gamma - |c|, max_x(k - hits of c at x), 0) members, where gamma is
     the minimum size of a k-tuple dominating set, so a sum of needs above
     the uncoloured count fails.  The search runs on an explicit stack.
-    num_classes must not exceed the mode's degree_ceiling, so that every
-    cover holds at least k * num_classes vertices.
+    num_classes must not exceed degree_ceiling(g.min_degree, k, mode), so
+    that every cover holds at least k * num_classes vertices.
     """
     n = g.n
     cover_bits = g.cover_lists(mode)
@@ -316,10 +318,10 @@ def _minimum_set_rule(
 def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = None) -> DomaticResult:
     """Exact k-tuple (total) domatic number with a witness partition.
 
-    The search descends from bounds.ceiling, min(floor((delta+1)/k),
-    floor(n / minimum set size)) (open mode: floor(delta/k) in place of the
-    first term), to 2; the first feasible class count wins.  When no count
-    of 2 or more is feasible the witness is the single class V.
+    The search descends from bounds.ceiling, min(degree_ceiling(delta, k,
+    mode), floor(n / minimum set size)), to 2; the first feasible class
+    count wins.  When no count of 2 or more is feasible the witness is the
+    single class V.
 
     The minimum sets settle the top counts first (_minimum_set_rule): c
     classes on n vertices include at least m = c(gamma + 1) - n disjoint

@@ -141,7 +141,7 @@ class TestIndividualChecks:
         assert report.check("C7").status == NOT_APPLICABLE
 
     def test_complement_at_ceiling_one_is_not_solved(self, monkeypatch):
-        # the complement's degree ceiling (n - Delta) // k is 1, so d(complement) = 1 is forced
+        # the complement's degree ceiling is 1, so d(complement) = 1 is forced
         for name in ("complement", "d_xk"):
             monkeypatch.setattr(bounds, name, lambda *args, name=name: pytest.fail(f"{name} called"))
         report = verify_all(complete(5), 1)
@@ -151,23 +151,33 @@ class TestIndividualChecks:
         assert report.check("C7").status != NOT_APPLICABLE and report.d_complement == 1
         assert report.d == 12
 
-    def test_complement_value_matches_its_solve(self):
+    def test_complement_value_matches_its_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(bounds, "d_xk", lambda *args: solves.append(args) or d_xk(*args))
         kinds = set()
         for n, p, seed in itertools.product(range(4, 13), (0.3, 0.5, 0.7, 0.9, 0.95), (1, 2, 3)):
             g = gnp(n, p, seed)
             gbar = complement(g)
             for k in (1, 2, 3):
+                solves.clear()
                 report = verify_all(g, k)
                 if report.gamma is None:
                     continue
-                if gbar.min_degree < k - 1:
-                    kinds.add("gated")
-                    assert report.check("C7").status == NOT_APPLICABLE
-                    assert report.d_complement is None
-                    continue
-                kinds.add("ceiling 1" if degree_ceiling(gbar, k, "closed") == 1 else "ceiling 2+")
-                assert report.d_complement == d_xk(gbar, k).value, (n, p, seed, k)
-        assert kinds == {"gated", "ceiling 1", "ceiling 2+"}
+                case = (n, p, seed, k)
+                # C6 applies exactly where the search's degree ceiling is 1
+                c6_applies = report.check("C6").status != NOT_APPLICABLE
+                assert c6_applies == (report.invariants.domatic.bounds_used.degree_ceiling == 1), case
+                # C7 is gated, forced to 1 or solved as the complement's degree ceiling is 0, 1 or 2+
+                if report.check("C7").status == NOT_APPLICABLE:
+                    kind = "gated"
+                    assert report.d_complement is None, case
+                else:
+                    kind = "solved" if solves else "forced"
+                    assert report.d_complement == d_xk(gbar, k).value, case
+                ceiling_bar = degree_ceiling(gbar.min_degree, k, "closed")
+                assert kind == ("gated", "forced", "solved")[min(ceiling_bar, 2)], case
+                kinds.add(kind)
+        assert kinds == {"gated", "forced", "solved"}
 
     def test_single_vertex_complement_sum(self):
         # K1 is self-complementary with d = 1 on both sides: sum = 2 = (n+1)/k

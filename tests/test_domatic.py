@@ -78,10 +78,13 @@ def within(seconds, solve, label):
     try:
         return solve()
     except TimeoutError:
-        pytest.fail(f"{label} undecided after {seconds} s")
+        # fail outside the handler: chained to the alarm, the report can hold a traceback
+        # entry with no line number, which pytest cannot render (INTERNALERROR on 3.11)
+        pass
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    pytest.fail(f"{label} undecided after {seconds} s")
 
 
 def minimum_set_rule(g, k, mode):
@@ -341,6 +344,15 @@ class TestMinimumSetRule:
         left, packing, top = minimum_set_rule(cycle(6), 1, "closed")
         assert (left, top) == (3, 3)
         assert d_xk(cycle(6), 1).witness.classes == packing.classes == ((0, 3), (1, 4), (2, 5))
+
+    def test_slack_zero_packing_decides_a_dense_ceiling(self):
+        # gamma = 2 on 28 vertices, so 14 classes are 14 disjoint minimum sets: the packing
+        # returns them in about a millisecond, and the colouring search alone at 14 classes
+        # ran past 30 s, so a lost packing shows as a stall
+        g = gnp(28, 0.8, 2)
+        res = within(2, lambda: d_xk(g, 1, "closed"), "d_xk(gnp(28, 0.8, 2), 1, 'closed')")
+        assert res.value == 14
+        assert is_domatic_partition(g, res.witness)
 
     @given(graphs(max_n=8), st.integers(1, 2), st.sampled_from(["closed", "open"]))
     @settings(max_examples=300, deadline=None)
