@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domatic import d_xk, degree_ceiling, zelinka_floor
-from .domination import _needed_degree, kjoin_minimum_size, vertex_mask
+from .domination import _json_ready, _needed_degree, kjoin_minimum_size, vertex_mask
 from .graphs import Graph, complement
-from .reports import InvariantReport, compute_invariants
+from .reports import _INSTANCE_KEYS, InvariantReport, compute_invariants
 
 HOLDS = "holds"
 SHARP = "sharp"
@@ -58,12 +58,6 @@ CHECK_IDS = tuple(_STATEMENTS)
 SCAN_CAP = 16  # the C11 search is exponential in n
 
 
-def _render(value: object) -> object:
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
-
-
 @dataclass(frozen=True, slots=True)
 class CheckResult:
     check_id: str
@@ -74,14 +68,7 @@ class CheckResult:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "statement": self.statement,
-            "lhs": _render(self.lhs),
-            "rhs": _render(self.rhs),
-            "status": self.status,
-            "notes": self.notes,
-        }
+        return _json_ready(self)
 
 
 @dataclass(slots=True)
@@ -89,7 +76,8 @@ class BoundsReport:
     """Instance metadata, computed invariants and the check catalogue.
 
     ``invariants`` is the InvariantReport the values were taken from, with
-    its witnesses; to_dict() does not write it.
+    its witnesses; to_dict() does not write it.  The values are None where
+    a degree gate fails.
     """
 
     n: int
@@ -99,14 +87,14 @@ class BoundsReport:
     k: int
     regular: bool
     bipartite: bool
-    gamma: int | None
-    d: int | None
-    gamma_total: int | None
-    d_total: int | None
-    d_complement: int | None
-    r_used: int | None
     checks: tuple[CheckResult, ...]
     invariants: InvariantReport
+    gamma: int | None = None
+    d: int | None = None
+    gamma_total: int | None = None
+    d_total: int | None = None
+    d_complement: int | None = None
+    r_used: int | None = None
 
     @property
     def violations(self) -> tuple[CheckResult, ...]:
@@ -126,15 +114,7 @@ class BoundsReport:
 
     def to_dict(self) -> dict:
         return {
-            "instance": {
-                "n": self.n,
-                "edge_count": self.edge_count,
-                "delta": self.delta,
-                "Delta": self.Delta,
-                "k": self.k,
-                "regular": self.regular,
-                "bipartite": self.bipartite,
-            },
+            "instance": {key: getattr(self, key) for key in (*_INSTANCE_KEYS, "regular", "bipartite")},
             "values": {
                 "gamma": self.gamma,
                 "d": self.d,
@@ -143,7 +123,7 @@ class BoundsReport:
                 "d_complement": self.d_complement,
                 "r_used": self.r_used,
             },
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": _json_ready(self.checks),
             "status_counts": self.status_counts(),
         }
 
@@ -198,11 +178,8 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
     need = _needed_degree(k, "closed")
     if inv.gamma is None:
         reason = f"no k-tuple dominating set: minimum degree {delta} < {need}"
-        return BoundsReport(
-            n, g.edge_count, delta, Delta, k, regular, bipartite,
-            None, None, None, None, None, None,
-            tuple([_na(cid, reason) for cid in CHECK_IDS]), inv,
-        )
+        return BoundsReport(n, g.edge_count, delta, Delta, k, regular, bipartite,
+                            tuple([_na(cid, reason) for cid in CHECK_IDS]), inv)
 
     d_res = inv.domatic
     gamma = inv.gamma.value
@@ -247,9 +224,13 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
         "exact equality d = (delta+1)/k forces |N[v] & class| = k for minimum-degree v",
     ))
 
+    # why C3, C4 and C10 do not apply, or None; C4 and C10 name bipartiteness first
+    k_gate = None if k >= 2 else "needs k >= 2"
+    bipartite_gate = k_gate if bipartite else "graph is not bipartite"
+
     # C3
-    if k < 2:
-        checks.append(_na("C3", "needs k >= 2"))
+    if k_gate:
+        checks.append(_na("C3", k_gate))
     else:
         checks.append(_compare(
             "C3", d, Fraction(n, k - 1), gamma == k - 1, "gamma = k - 1",
@@ -260,10 +241,8 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
     # edges is K_{k-1,k-1}, the signature C4 and C10 attain equality on.
     m = k - 1
     signature = bipartite and regular and n == 2 * m and delta == m and g.edge_count == m * m
-    if not bipartite:
-        checks.append(_na("C4", "graph is not bipartite"))
-    elif k < 2:
-        checks.append(_na("C4", "needs k >= 2"))
+    if bipartite_gate:
+        checks.append(_na("C4", bipartite_gate))
     else:
         checks.append(_compare("C4", d, Fraction(n, 2 * k - 2), signature, *_SIGNATURE_NOTES))
 
@@ -356,10 +335,8 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
             checks.append(_result("C9", d, upper, status, "; ".join(notes_parts)))
 
     # C10: K_{k-1,k-1} attains the floor, and it is the only graph that does.
-    if not bipartite:
-        checks.append(_na("C10", "graph is not bipartite"))
-    elif k < 2:
-        checks.append(_na("C10", "needs k >= 2"))
+    if bipartite_gate:
+        checks.append(_na("C10", bipartite_gate))
     elif signature and gamma > 2 * k - 2:
         checks.append(_result("C10", gamma, 2 * k - 2, VIOLATED, "K_{k-1,k-1} must attain equality"))
     else:
@@ -373,12 +350,7 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
         checks.append(_result("C11", smallest, gamma, HOLDS if smallest == gamma else VIOLATED))
 
     return BoundsReport(
-        n, g.edge_count, delta, Delta, k, regular, bipartite,
-        gamma, d,
-        inv.gamma_total.value if inv.gamma_total else None,
-        d_t_res.value if d_t_res else None,
-        dbar,
-        r_used,
-        tuple(checks), inv,
+        n, g.edge_count, delta, Delta, k, regular, bipartite, tuple(checks), inv,
+        gamma, d, inv.gamma_total.value if inv.gamma_total else None, d_t_res.value if d_t_res else None, dbar, r_used,
     )
 

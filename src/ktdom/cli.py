@@ -24,7 +24,7 @@ import warnings
 from .bounds import CHECK_IDS, BoundsReport, verify_all
 from .graphs import (MAX_READ_VERTICES, Graph, PairingFailureError, clique_chain, complete, complete_bipartite, cycle,
                      disjoint_union, gnp, k_join, path, random_regular, read_graph, write_graph)
-from .reports import _check_oracle_cap, compute_invariants, cross_check
+from .reports import _INSTANCE_KEYS, _check_oracle_cap, compute_invariants, cross_check
 
 NA = "NA"
 
@@ -43,7 +43,7 @@ _INTEGER_FAMILIES = {
 }
 
 # the BoundsReport values an ensemble row writes, in column order
-_REPORT_COLUMNS = ("n", "edge_count", "delta", "Delta", "k", "gamma", "d", "gamma_total", "d_total", "d_complement")
+_REPORT_COLUMNS = (*_INSTANCE_KEYS, "gamma", "d", "gamma_total", "d_total", "d_complement")
 
 CSV_COLUMNS = (
     "instance_id",
@@ -287,11 +287,14 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     if args.model == "gnp":
         if args.p is None:
             raise ValueError("gnp needs --p")
-        make = lambda seed: gnp(_within_limit(args.n), args.p, seed)
+        make = lambda seed: gnp(args.n, args.p, seed)
     else:
         if args.r is None:
             raise ValueError("random-regular needs --r")
-        make = lambda seed: random_regular(_within_limit(args.n), args.r, seed)
+        make = lambda seed: random_regular(args.n, args.r, seed)
+    _within_limit(args.n)
+    if args.oracle:
+        _check_oracle_cap(args.n)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -302,8 +305,6 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     for index in range(args.count):
         seed = _instance_seed(args.seed, index)
         g = make(seed)
-        if args.oracle:
-            _check_oracle_cap(g)
         report = verify_all(g, args.k)
         for status, value in report.status_counts().items():
             counts[status] += value

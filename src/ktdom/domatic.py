@@ -18,6 +18,7 @@ from .domination import (
     _check_k,
     _check_mode,
     _dominates,
+    _json_ready,
     _smaller_set,
     check_degree_gate,
     gamma_oracle,
@@ -41,7 +42,7 @@ class DomaticPartition:
     mode: str
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "mode": self.mode, "classes": [list(c) for c in self.classes]}
+        return _json_ready(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,11 +67,7 @@ class SearchBounds:
         return min(self.degree_ceiling, self.gamma_ceiling)
 
     def to_dict(self) -> dict:
-        return {
-            "zelinka_floor": self.zelinka_floor,
-            "degree_ceiling": self.degree_ceiling,
-            "gamma_ceiling": self.gamma_ceiling,
-        }
+        return _json_ready(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,11 +77,7 @@ class DomaticResult:
     bounds_used: SearchBounds
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": self.witness.to_dict(),
-            "bounds_used": self.bounds_used.to_dict(),
-        }
+        return _json_ready(self)
 
 
 def is_domatic_partition(g: Graph, p: DomaticPartition) -> bool:

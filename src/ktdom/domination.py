@@ -17,7 +17,8 @@ exist.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from fractions import Fraction
 from typing import Iterable
 
 from .graphs import Graph, bit_list, iter_bits
@@ -56,7 +57,7 @@ def _check_mode(mode: str) -> None:
 
 
 def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
@@ -69,10 +70,10 @@ def check_degree_gate(g: Graph, k: int, mode: str) -> None:
 
 
 def vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
-    """Bitmask of a vertex subset; rejects out-of-range ids."""
+    """Bitmask of a vertex subset; rejects out-of-range ids and bools."""
     mask = 0
     for v in vertices:
-        if not (isinstance(v, int) and 0 <= v < g.n):
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
             raise ValueError(f"vertex {v!r} outside 0..{g.n - 1}")
         mask |= 1 << v
     return mask
@@ -129,6 +130,19 @@ def is_ktuple_total_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
 # exact minimum
 
 
+def _json_ready(value: object) -> object:
+    """The JSON layout of every record: a dataclass becomes {field name: value},
+    a tuple a list and a Fraction its str, nested values alike; anything else
+    passes as is.  A value that must stay out of the JSON cannot be a field."""
+    if is_dataclass(value):
+        return {f.name: _json_ready(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_json_ready(item) for item in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class GammaResult:
     """Minimum cardinality plus a witness set and search statistics."""
@@ -140,13 +154,7 @@ class GammaResult:
     nodes_explored: int
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": list(self.witness),
-            "mode": self.mode,
-            "k": self.k,
-            "nodes_explored": self.nodes_explored,
-        }
+        return _json_ready(self)
 
 
 def _greedy_upper(g: Graph, k: int, mode: str) -> int:

@@ -9,8 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .domatic import ORACLE_PARTITION_CAP, DomaticResult, d_oracle, d_xk
-from .domination import ORACLE_VERTEX_CAP, GammaResult, OracleCapError, _needed_degree, gamma_oracle, gamma_xk
+from .domination import (ORACLE_VERTEX_CAP, GammaResult, OracleCapError, _check_k, _json_ready, _needed_degree,
+                         gamma_oracle, gamma_xk)
 from .graphs import Graph
+
+# the instance block of every report, in field order; the fields of the same names hold it
+_INSTANCE_KEYS = ("n", "edge_count", "delta", "Delta", "k")
 
 
 @dataclass(slots=True)
@@ -32,22 +36,13 @@ class InvariantReport:
 
     def to_dict(self) -> dict:
         return {
-            "instance": {
-                "n": self.n,
-                "edge_count": self.edge_count,
-                "delta": self.delta,
-                "Delta": self.Delta,
-                "k": self.k,
-            },
-            "gamma": self.gamma.to_dict() if self.gamma else None,
-            "domatic": self.domatic.to_dict() if self.domatic else None,
-            "gamma_total": self.gamma_total.to_dict() if self.gamma_total else None,
-            "domatic_total": self.domatic_total.to_dict() if self.domatic_total else None,
+            "instance": {key: getattr(self, key) for key in _INSTANCE_KEYS},
+            "gamma": _json_ready(self.gamma),
+            "domatic": _json_ready(self.domatic),
+            "gamma_total": _json_ready(self.gamma_total),
+            "domatic_total": _json_ready(self.domatic_total),
             "notes": list(self.notes),
-            "oracle": {
-                "checked": self.oracle_checked,
-                "mismatches": list(self.oracle_mismatches),
-            },
+            "oracle": {"checked": self.oracle_checked, "mismatches": list(self.oracle_mismatches)},
         }
 
 
@@ -68,7 +63,8 @@ def compute_invariants(
     if mode not in ("closed", "open", "both"):
         raise ValueError(f"mode must be 'closed', 'open' or 'both', got {mode!r}")
     if with_oracle:
-        _check_oracle_cap(g)
+        _check_oracle_cap(g.n)
+    _check_k(k)
     notes: list[str] = []
     solved: list[GammaResult | DomaticResult | None] = []  # gamma and d per mode, closed first
     for m, need_text in (("closed", "k-1"), ("open", "k")):
@@ -96,7 +92,7 @@ def cross_check(g: Graph, report: InvariantReport) -> tuple[str, ...]:
 
     The references have vertex caps, so a graph above them is an OracleCapError.
     """
-    _check_oracle_cap(g)
+    _check_oracle_cap(g.n)
     mismatches: list[str] = []
     gammas: dict[str, GammaResult] = {}  # per mode, handed on to d_oracle
     for label, fast, mode in (
@@ -116,8 +112,8 @@ def cross_check(g: Graph, report: InvariantReport) -> tuple[str, ...]:
     return tuple(mismatches)
 
 
-def _check_oracle_cap(g: Graph) -> None:
-    """Refuse a graph above the references' vertex caps, before any search."""
+def _check_oracle_cap(n: int) -> None:
+    """Refuse a graph on n vertices above the references' vertex caps, before any search."""
     cap = min(ORACLE_VERTEX_CAP, ORACLE_PARTITION_CAP)
-    if g.n > cap:
-        raise OracleCapError(f"oracle cross-check needs n <= {cap}, got n = {g.n}")
+    if n > cap:
+        raise OracleCapError(f"oracle cross-check needs n <= {cap}, got n = {n}")

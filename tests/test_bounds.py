@@ -52,10 +52,11 @@ class TestReportShape:
             report.check("C99")
 
     def test_to_dict_is_json_serializable(self):
-        # rational bounds must be rendered, not leak Fraction objects
-        payload = verify_all(complete_bipartite(3, 3), 2).to_dict()
-        text = json.dumps(payload, sort_keys=True)
-        assert '"3"' in text or "3" in text
+        # rational bounds are written as exact strings, never as Fraction objects or floats
+        payload = verify_all(complete_bipartite(3, 3), 3).to_dict()
+        rhs = {c["check_id"]: c["rhs"] for c in payload["checks"]}
+        assert (rhs["C3"], rhs["C4"], rhs["C7"]) == ("3", "3/2", "7/3")
+        assert json.loads(json.dumps(payload)) == payload
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError, match="positive integer"):
@@ -66,6 +67,8 @@ class TestReportShape:
         assert all(c.status == NOT_APPLICABLE for c in report.checks)
         assert report.gamma is None and report.d is None
         assert report.d_complement is None and report.r_used is None
+        assert report.to_dict()["values"] == dict.fromkeys(
+            ("gamma", "d", "gamma_total", "d_total", "d_complement", "r_used"))
 
 
 class TestIndividualChecks:

@@ -339,8 +339,10 @@ class TestEnsemble:
         assert counts and max(counts.values()) == 1, counts
 
     def test_oracle_cap_refused_before_solving(self, monkeypatch, capsys):
+        # the cap is checked on --n once, before instance 0 is built
         calls = []
         replace_everywhere(monkeypatch, "gamma_xk", lambda *args, **kwargs: calls.append(args))
+        replace_everywhere(monkeypatch, "gnp", lambda *args: pytest.fail("built"))
         code, out, err = run(capsys, "ensemble", "--model", "gnp", "--n", "11", "--p", "0.5",
                              "--count", "2", "--seed", "1", "--k", "1", "--oracle")
         assert code == 2

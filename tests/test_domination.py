@@ -15,6 +15,7 @@ from ktdom import (
     OracleCapError,
     complete,
     complete_bipartite,
+    compute_invariants,
     cycle,
     disjoint_union,
     gamma_oracle,
@@ -99,6 +100,21 @@ class TestPredicates:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError, match="positive integer"):
             is_ktuple_dominating(complete(3), [0], 0)
+
+    def test_rejects_bools_as_k_and_as_vertices(self):
+        # bool subclasses int, but True is neither a k nor a vertex id
+        g = cycle(5)
+        for k in (True, False):
+            with pytest.raises(ValueError, match="positive integer"):
+                is_ktuple_dominating(g, [0, 1, 2], k)
+            with pytest.raises(ValueError, match="positive integer"):
+                gamma_xk(g, k)
+            # also where no mode is solved: K1 has no open-mode set at any k
+            with pytest.raises(ValueError, match="positive integer"):
+                compute_invariants(complete(1), k, "open")
+        for check in (is_ktuple_dominating, is_ktuple_dominating_by_cases, is_ktuple_total_dominating):
+            with pytest.raises(ValueError, match="outside"):
+                check(g, [True, False, 3], 1)
 
     def test_case_split_equivalence_exhaustive(self):
         # both encodings agree on every subset of every graph with n <= 4

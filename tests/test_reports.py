@@ -36,6 +36,7 @@ def test_gate_failures_become_notes_not_errors():
     report = compute_invariants(path(4), 3)
     assert report.gamma is None
     assert any("closed mode skipped" in note for note in report.notes)
+    assert [report.to_dict()[key] for key in ("gamma", "domatic", "gamma_total", "domatic_total")] == [None] * 4
 
 
 def test_bad_mode():
@@ -108,3 +109,21 @@ def test_verify_all_keeps_the_report_it_was_built_from():
         inv.gamma.value, inv.domatic.value, inv.gamma_total.value, inv.domatic_total.value)
     assert "invariants" not in report.to_dict()
     assert cross_check(g, inv) == ()
+
+
+def test_record_layouts_are_their_fields():
+    # each record writes exactly its fields; renaming one changes the JSON, so it fails here
+    report = verify_all(complete(4), 2)
+    domatic_result = report.invariants.domatic
+    layouts = [
+        (report.invariants.gamma, ("value", "witness", "mode", "k", "nodes_explored")),
+        (domatic_result, ("value", "witness", "bounds_used")),
+        (domatic_result.witness, ("classes", "k", "mode")),
+        (domatic_result.bounds_used, ("zelinka_floor", "degree_ceiling", "gamma_ceiling")),
+        (report.check("C1"), ("check_id", "statement", "lhs", "rhs", "status", "notes")),
+    ]
+    for record, keys in layouts:
+        assert tuple(record.to_dict()) == keys
+    instance = ("n", "edge_count", "delta", "Delta", "k")
+    assert tuple(report.invariants.to_dict()["instance"]) == instance
+    assert tuple(report.to_dict()["instance"]) == (*instance, "regular", "bipartite")
