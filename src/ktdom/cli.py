@@ -8,22 +8,26 @@ itself; ``gen from-file`` reads its input as ``compute`` and ``verify`` do,
 with ``-`` for stdin.  Identical configuration (including seeds) always
 produces byte-identical artifacts; exit status is 0 on success, 1 when a
 check is violated or an oracle cross-check disagrees, and 2 for
-configuration or input errors.
+configuration or input errors and when memory runs out.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import sys
 import warnings
+from collections import Counter
+from typing import Iterable
 
-from .bounds import CHECK_IDS, BoundsReport, verify_all
+from .bounds import CHECK_IDS, VIOLATED, BoundsReport, verify_all
 from .graphs import (MAX_READ_VERTICES, Graph, PairingFailureError, clique_chain, complete, complete_bipartite, cycle,
-                     disjoint_union, gnp, k_join, path, random_regular, read_graph, write_graph)
+                     disjoint_union, edge_lines, gnp, k_join, path, random_regular, read_graph)
 from .reports import _INSTANCE_KEYS, _check_oracle_cap, compute_invariants, cross_check
 
 NA = "NA"
@@ -79,6 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, PairingFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,14 +137,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        # line by line: a reader that goes away mid-output then fails the next write, where
-        # one large write would only come back short and lose the rest without an error
-        sys.stdout.writelines(text.splitlines(keepends=True))
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write_text(path: str, lines: Iterable[str]) -> None:
+    # one write per line, as each is produced: a reader that goes away mid-output then fails
+    # the next write, where one large write would only come back short and lose the rest
+    with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
 
 
 def _read_input(path: str, source_name: str = "--input") -> Graph:
@@ -155,8 +159,12 @@ def _read_input(path: str, source_name: str = "--input") -> Graph:
             return read_graph(fh.read())
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_report(path: str, payload: dict, complaints: list[str]) -> int:
+    """Write a JSON report, then each complaint to stderr; exit 1 if there was one."""
+    _write_text(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").splitlines(keepends=True))
+    for line in complaints:
+        print(line, file=sys.stderr)
+    return 1 if complaints else 0
 
 
 def _int(token: str) -> int:
@@ -250,31 +258,21 @@ def _seed(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     g = _generate(args)
-    header = f"# ktdom gen {args.family}" + ("".join(" " + p for p in args.params)) + "\n"
-    _write_text(args.output, header + write_graph(g))
+    header = " ".join(["# ktdom gen", args.family, *args.params]) + "\n"
+    _write_text(args.output, itertools.chain([header], edge_lines(g)))
     return 0
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    g = _read_input(args.input)
-    report = compute_invariants(g, args.k, args.mode, with_oracle=args.oracle)
-    _write_text(args.report, _json_text(report.to_dict()))
-    if report.oracle_mismatches:
-        for line in report.oracle_mismatches:
-            print(f"oracle mismatch: {line}", file=sys.stderr)
-        return 1
-    return 0
+    report = compute_invariants(_read_input(args.input), args.k, args.mode, with_oracle=args.oracle)
+    return _write_report(args.report, report.to_dict(),
+                         [f"oracle mismatch: {line}" for line in report.oracle_mismatches])
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g = _read_input(args.input)
-    report = verify_all(g, args.k)
-    _write_text(args.report, _json_text(report.to_dict()))
-    if report.violations:
-        for check in report.violations:
-            print(f"violated: {check.check_id}: {check.statement}", file=sys.stderr)
-        return 1
-    return 0
+    report = verify_all(_read_input(args.input), args.k)
+    return _write_report(args.report, report.to_dict(),
+                         [f"violated: {check.check_id}: {check.statement}" for check in report.violations])
 
 
 def _instance_seed(master: int, index: int) -> int:
@@ -299,37 +297,30 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    violations = 0
     mismatches = 0
-    counts = {"holds": 0, "sharp": 0, "violated": 0, "not-applicable": 0}
+    counts = Counter()
     for index in range(args.count):
         seed = _instance_seed(args.seed, index)
         g = make(seed)
         report = verify_all(g, args.k)
-        for status, value in report.status_counts().items():
-            counts[status] += value
-        violations += len(report.violations)
+        counts.update(report.status_counts())
         if args.oracle:
             lines = cross_check(g, report.invariants)
             mismatches += len(lines)
             for line in lines:
                 print(f"oracle mismatch on instance {index}: {line}", file=sys.stderr)
         writer.writerow(_row(args, index, seed, report))
-    _write_text(args.csv, buffer.getvalue())
-    print(
-        f"ensemble: {args.count} instances, checks "
-        f"holds={counts['holds']} sharp={counts['sharp']} "
-        f"violated={counts['violated']} not-applicable={counts['not-applicable']}",
-        file=sys.stderr,
-    )
-    return 1 if violations or mismatches else 0
+    _write_text(args.csv, buffer.getvalue().splitlines(keepends=True))
+    print(f"ensemble: {args.count} instances, checks", *(f"{status}={n}" for status, n in counts.items()),
+          file=sys.stderr)
+    return 1 if counts[VIOLATED] or mismatches else 0
 
 
 def _row(args: argparse.Namespace, index: int, seed: int, report: BoundsReport) -> list:
     def cell(value) -> object:
         return NA if value is None else value
 
-    row = [
+    return [
         f"{args.model}-n{args.n}-{index:04d}",
         args.model,
         args.n,
@@ -337,10 +328,8 @@ def _row(args: argparse.Namespace, index: int, seed: int, report: BoundsReport) 
         cell(args.r if args.model == "random-regular" else None),
         seed,
         *[cell(getattr(report, name)) for name in _REPORT_COLUMNS],
+        *[check.status for check in report.checks],  # in CHECK_IDS order, as CSV_COLUMNS are
     ]
-    by_id = {check.check_id: check.status for check in report.checks}
-    row.extend(by_id[cid] for cid in CHECK_IDS)
-    return row
 
 
 if __name__ == "__main__":

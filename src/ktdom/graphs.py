@@ -166,14 +166,14 @@ def complete(n: int) -> Graph:
     """K_n."""
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with sides 0..a-1 and a..a+b-1."""
     if a < 1 or b < 1:
         raise ValueError("both sides of a complete bipartite graph must be nonempty")
-    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+    return Graph(a + b, ((u, a + v) for u in range(a) for v in range(b)))
 
 
 def cycle(n: int) -> Graph:
@@ -333,8 +333,13 @@ def read_graph(text: str) -> Graph:
     return Graph(n, edges)
 
 
+def edge_lines(g: Graph) -> Iterator[str]:
+    """Canonical edge-list text line by line: header, then edges sorted with u < v."""
+    yield f"n {g.n}\n"
+    for u in range(g.n):
+        yield from [f"{u} {v}\n" for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1))]
+
+
 def write_graph(g: Graph) -> str:
-    """Canonical edge-list text: header, then edges sorted with u < v."""
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    """Canonical edge-list text, as edge_lines writes it."""
+    return "".join(edge_lines(g))

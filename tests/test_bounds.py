@@ -41,6 +41,11 @@ class TestReportShape:
         report = verify_all(complete(5), 2)
         assert tuple(c.check_id for c in report.checks) == CHECK_IDS
 
+    def test_degree_gated_report_keeps_the_check_order(self):
+        report = verify_all(path(3), 3)
+        assert report.gamma is None
+        assert tuple(c.check_id for c in report.checks) == CHECK_IDS
+
     def test_status_counts_cover_all_checks(self):
         report = verify_all(cycle(6), 1)
         assert sum(report.status_counts().values()) == len(CHECK_IDS)

@@ -53,6 +53,7 @@ GENERATOR_CASES = [
     ("k-join path:2 complete:3 --join-k 2", k_join(path(2), complete(3), 2)),
     ("random-regular 8 3 --seed 3", random_regular(8, 3, 3)),
     ("gnp 8 0.5 --seed 3", gnp(8, 0.5, 3)),
+    ("complete 300", complete(300)),
 ]
 
 # `ktdom gen` parameters that exit 2, and a part of the error they print
@@ -148,10 +149,23 @@ class TestGen:
         assert "integer" in err
 
     @pytest.mark.parametrize("params, expected", GENERATOR_CASES, ids=[params for params, _ in GENERATOR_CASES])
-    def test_family_matches_its_generator(self, capsys, params, expected):
+    def test_family_matches_its_generator(self, tmp_path, capsys, params, expected):
+        # the streamed output and write_graph are two consumers of one format: they must agree byte for byte
+        text = f"# ktdom gen {params.split(' --')[0]}\n" + write_graph(expected)
         code, out, err = run(capsys, "gen", *shlex.split(params))
-        assert (code, err) == (0, "")
-        assert read_graph(out) == expected
+        assert (code, out, err) == (0, text, "")
+        target = tmp_path / "g.txt"
+        code, out, err = run(capsys, "gen", *shlex.split(params), "-o", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_bytes() == text.encode()
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        replace_everywhere(monkeypatch, "gnp", exhausted)
+        code, out, err = run(capsys, "gen", "gnp", "10000", "0.99", "--seed", "1")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
 
     @pytest.mark.parametrize("params, message", REJECTED_CASES, ids=[params for params, _ in REJECTED_CASES])
     def test_bad_parameters_exit_2(self, capsys, params, message):

@@ -1,6 +1,7 @@
 """The solvers leave nothing behind: no reference cycle for the collector and
 no tuple parked on the interpreter's free lists, so memory stays flat over
-many calls.  How much a call leaves behind depends on the interpreter
+many calls; and `ktdom gen` writes as it goes, so its memory does not grow
+with the edge count.  How much a call leaves behind depends on the interpreter
 version, so the module also runs without pytest, as a script under each
 interpreter: ``PYTHONPATH=src python tests/test_memory.py``.
 """
@@ -8,9 +9,12 @@ interpreter: ``PYTHONPATH=src python tests/test_memory.py``.
 from __future__ import annotations
 
 import gc
+import os
 import sys
+import tracemalloc
 
 from ktdom import compute_invariants, d_xk, gamma_xk, gnp, random_regular, verify_all
+from ktdom.cli import main
 from ktdom.reports import cross_check
 
 ROUNDS = 200
@@ -57,11 +61,24 @@ def test_verify_all_leaves_no_garbage_cycles():
     assert gc.collect() == 0
 
 
+def test_gen_streams_its_output():
+    # K_300 is 44,850 edge lines, about 350 KB of text; the writer holds one row at a time
+    tracemalloc.start()
+    try:
+        code = main(["gen", "complete", "300", "-o", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000, f"peak traced memory {peak} bytes"
+
+
 if __name__ == "__main__":
     for test in (
         test_repeated_solves_keep_memory_flat,
         test_repeated_cross_checks_keep_memory_flat,
         test_verify_all_leaves_no_garbage_cycles,
+        test_gen_streams_its_output,
     ):
         test()
         print(f"{test.__name__}: passed")
