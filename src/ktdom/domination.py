@@ -193,6 +193,18 @@ def _smaller_set(
     Returns the smallest such set's mask, or None, and the number of nodes
     explored; every set found lowers the bound.  With ``first`` the search
     returns the first set it meets.  The vertices are taken in id order.
+
+    The node state is kept up to date on each take and undo instead of
+    recounted over all n vertices: each vertex's slack (its undecided cover
+    vertices minus its demand), the number of negative slacks, the summed
+    positive demand, the number of vertices at each demand level 1..k, and
+    the mask of the vertices still demanding.  Covers are symmetric, so
+    taking v costs every u in v's cover one demand and one undecided cover
+    vertex, and no slack changes.  Only a backtrack moves slack: the
+    positions left out since the popped one are undecided again, which
+    gives each vertex of their covers one slack back, and the popped vertex
+    is left out, which gives its cover its demand back but not the vertex,
+    so each vertex of that cover loses one.
     """
     covers = g.covers(mode)
     cover_bits = g.cover_lists(mode)
@@ -200,13 +212,15 @@ def _smaller_set(
     order = [v for v in range(n) if not banned >> v & 1]
     last = len(order)
     ordered_covers = [covers[v] for v in order]
-    # undecided[i]: the vertices order[i:], still undecided at depth i
-    undecided = [0] * (last + 1)
-    for i in range(last - 1, -1, -1):
-        undecided[i] = undecided[i + 1] | 1 << order[i]
+    free = ((1 << n) - 1) & ~banned
+    slack = [(c & free).bit_count() - k for c in covers]
+    short = sum(1 for s in slack if s < 0)  # a negative slack prunes the node
+    demand = [k] * n
+    level = [0] * k + [n]  # level[d]: vertices of demand d, for d = 1..k; level[0] is never read
+    total = k * n  # summed positive demand
+    needy = (1 << n) - 1  # the vertices of positive demand
 
     best_mask = None
-    demand = [k] * n
     nodes = 0
     # Leaving a vertex out is a node's last branch, so the stack holds only
     # the depths at which a vertex was taken.
@@ -215,48 +229,65 @@ def _smaller_set(
     depth = 0
     while True:
         nodes += 1
-        free = undecided[depth]
-        total = worst = needy = 0
-        for v in range(n):
-            dv = demand[v]
-            if dv > 0:
-                if dv > (covers[v] & free).bit_count():
-                    break
-                total += dv
-                needy |= 1 << v
-                if dv > worst:
-                    worst = dv
-        else:
+        if not short:
             count = len(taken)
             if not total:
                 if count < bound:
                     bound, best_mask = count, chosen
                     if first:
                         return best_mask, nodes
-            elif count + worst < bound:
-                # most >= 1: every demanding vertex has an undecided vertex covering it
-                most = 0
-                for i in range(depth, last):
-                    hit = (ordered_covers[i] & needy).bit_count()
-                    if hit > most:
-                        most = hit
-                if count - (-total // most) < bound:
-                    v = order[depth]
-                    for u in cover_bits[v]:
-                        demand[u] -= 1
-                    chosen |= 1 << v
-                    taken.append(depth)
-                    depth += 1
-                    continue
+            else:
+                worst = k
+                while not level[worst]:
+                    worst -= 1
+                if count + worst < bound:
+                    # most >= 1: every demanding vertex has an undecided vertex covering it
+                    most = 0
+                    for i in range(depth, last):
+                        hit = (ordered_covers[i] & needy).bit_count()
+                        if hit > most:
+                            most = hit
+                    if count - (-total // most) < bound:
+                        v = order[depth]
+                        for u in cover_bits[v]:
+                            d = demand[u]
+                            demand[u] = d - 1
+                            if d > 0:
+                                total -= 1
+                                level[d] -= 1
+                                level[d - 1] += 1
+                                if d == 1:
+                                    needy ^= 1 << u
+                        chosen |= 1 << v
+                        taken.append(depth)
+                        depth += 1
+                        continue
         # a dead end: leave out the last vertex taken instead
         if not taken:
             return best_mask, nodes
-        depth = taken.pop()
-        v = order[depth]
+        top = taken.pop()
+        for i in range(top + 1, depth):
+            for u in cover_bits[order[i]]:
+                s = slack[u] + 1
+                slack[u] = s
+                if not s:
+                    short -= 1
+        v = order[top]
         for u in cover_bits[v]:
-            demand[u] += 1
+            s = slack[u]
+            slack[u] = s - 1
+            if not s:
+                short += 1
+            d = demand[u] + 1
+            demand[u] = d
+            if d > 0:
+                total += 1
+                level[d] += 1
+                level[d - 1] -= 1
+                if d == 1:
+                    needy |= 1 << u
         chosen ^= 1 << v
-        depth += 1
+        depth = top + 1
 
 
 def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
@@ -274,6 +305,12 @@ def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
     even when the greedy set is already optimal.  The search, _smaller_set,
     is shared with d_xk's minimum-set rule; it runs on an explicit stack of
     the vertices taken, so its depth is not bounded by the recursion limit.
+    A node costs what its move touches, not O(n): the search keeps each
+    vertex's slack (undecided cover vertices minus demand), the number of
+    negative slacks, the summed positive demand, the count at each demand
+    level and the demanding mask up to date on each take and undo.  A take
+    leaves every slack unchanged, since each vertex of the taken cover
+    loses one demand and one undecided vertex; see _smaller_set.
     """
     check_degree_gate(g, k, mode)
     greedy = _greedy_upper(g, k, mode)
@@ -314,6 +351,15 @@ def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | No
     These conditions say exactly that T is a k-tuple dominating set of
     cardinality t, so the smallest feasible t is the k-tuple domination
     number.  The search is an id-order scan independent of gamma_xk.
+
+    Its node state is kept up to date on each take and undo, as in
+    _smaller_set, instead of recounted over all n vertices: each vertex's
+    slack (its undecided closed neighbours minus its demand), the number of
+    negative slacks, and the number of vertices at each demand level 1..k.
+    Taking v costs each of v's closed neighbours one demand and one
+    undecided neighbour, so no slack changes; an undo gives the positions
+    left out since the popped one back to their neighbours' slack and takes
+    one from the popped vertex's neighbours.
     """
     check_degree_gate(g, k, "closed")
     if t < k - 1:
@@ -321,10 +367,11 @@ def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | No
     if t > g.n:
         raise ValueError(f"t={t} exceeds the vertex count {g.n}")
     n = g.n
-    covers = g.closed
     cover_bits = g.cover_lists("closed")
+    slack = [len(bits) - k for bits in cover_bits]
+    short = 0  # negative slacks, each of which prunes; the degree gate leaves none at the root
     demand = [k] * n
-    full = (1 << n) - 1
+    level = [0] * k + [n]  # level[d]: vertices of demand d, for d = 1..k; level[0] is never read
     # Id-order branching, taking a vertex before leaving it out.  Leaving out
     # is a node's last branch, so the stack holds only the vertices taken.
     taken: list[int] = []  # ascending
@@ -332,26 +379,39 @@ def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | No
     while True:
         remaining = t - len(taken)
         if remaining == 0:
-            if all(d <= 0 for d in demand):
+            if not any(level[1:]):
                 return tuple(taken)
-        elif n - pos >= remaining:
-            undecided = full >> pos << pos
-            for u in range(n):
-                du = demand[u]
-                if du > remaining or du > (covers[u] & undecided).bit_count():
-                    break
-            else:
-                for u in cover_bits[pos]:
-                    demand[u] -= 1
-                taken.append(pos)
-                pos += 1
-                continue
+        # prune when some demand exceeds the vertices still to take or the undecided ones
+        elif n - pos >= remaining and not short and not any(level[remaining + 1 :]):
+            for u in cover_bits[pos]:
+                d = demand[u]
+                demand[u] = d - 1
+                if d > 0:
+                    level[d] -= 1
+                    level[d - 1] += 1
+            taken.append(pos)
+            pos += 1
+            continue
         # a dead end: leave out the last vertex taken instead
         if not taken:
             return None
         v = taken.pop()
+        for w in range(v + 1, pos):
+            for u in cover_bits[w]:
+                s = slack[u] + 1
+                slack[u] = s
+                if not s:
+                    short -= 1
         for u in cover_bits[v]:
-            demand[u] += 1
+            s = slack[u]
+            slack[u] = s - 1
+            if not s:
+                short += 1
+            d = demand[u] + 1
+            demand[u] = d
+            if d > 0:
+                level[d] += 1
+                level[d - 1] -= 1
         pos = v + 1
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import warnings
 from collections import deque
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 PAIRING_RETRY_BUDGET = 1000
@@ -195,12 +196,9 @@ def disjoint_union(parts: Iterable[Graph]) -> Graph:
     parts = list(parts)
     if not parts:
         raise ValueError("disjoint union of zero graphs is empty")
-    edges: list[tuple[int, int]] = []
-    offset = 0
-    for g in parts:
-        edges.extend((offset + u, offset + v) for u, v in g.edges())
-        offset += g.n
-    return Graph(offset, edges)
+    offsets = list(accumulate((g.n for g in parts), initial=0))
+    edges = ((offset + u, offset + v) for g, offset in zip(parts, offsets) for u, v in g.edges())
+    return Graph(offsets[-1], edges)
 
 
 def k_join(g: Graph, h: Graph, k: int, rule: str = "all", seed: int | None = None) -> Graph:
@@ -214,32 +212,27 @@ def k_join(g: Graph, h: Graph, k: int, rule: str = "all", seed: int | None = Non
         raise ValueError("k must be a positive integer")
     if h.n < k:
         raise ValueError(f"join target has {h.n} vertices, needs at least k={k}")
-    edges = g.edges()
-    edges.extend((g.n + u, g.n + v) for u, v in h.edges())
     if rule == "all":
-        edges.extend((u, g.n + w) for u in range(g.n) for w in range(h.n))
+        cross = ((u, g.n + w) for u in range(g.n) for w in range(h.n))
     elif rule == "seeded":
         if seed is None:
             raise ValueError("rule 'seeded' needs a seed")
         rng = random.Random(seed)
-        for u in range(g.n):
-            edges.extend((u, g.n + w) for w in sorted(rng.sample(range(h.n), k)))
+        cross = ((u, g.n + w) for u in range(g.n) for w in sorted(rng.sample(range(h.n), k)))
     else:
         raise ValueError(f"unknown join rule {rule!r}, expected 'all' or 'seeded'")
-    return Graph(g.n + h.n, edges)
+    shifted = ((g.n + u, g.n + v) for u, v in h.edges())
+    return Graph(g.n + h.n, chain(g.edges(), shifted, cross))
 
 
 def clique_chain(k: int) -> Graph:
     """Four copies of K_k in a row, consecutive copies completely joined."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    blocks = [list(range(i * k, (i + 1) * k)) for i in range(4)]
-    edges: list[tuple[int, int]] = []
-    for block in blocks:
-        edges.extend((u, v) for i, u in enumerate(block) for v in block[i + 1 :])
-    for left, right in zip(blocks, blocks[1:]):
-        edges.extend((u, v) for u in left for v in right)
-    return Graph(4 * k, edges)
+    blocks = [range(i * k, (i + 1) * k) for i in range(4)]
+    inside = ((u, v) for block in blocks for i, u in enumerate(block) for v in block[i + 1 :])
+    across = ((u, v) for left, right in zip(blocks, blocks[1:]) for u in left for v in right)
+    return Graph(4 * k, chain(inside, across))
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -249,7 +242,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
 
 
 def random_regular(n: int, r: int, seed: int) -> Graph:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import random
 import sys
 from itertools import chain, combinations, product
 
@@ -31,6 +32,7 @@ from ktdom import (
 )
 from ktdom import domination
 from ktdom.domination import ORACLE_VERTEX_CAP
+from ktdom.graphs import bit_list
 from strategies import all_graphs, graphs
 
 # value table derived from the brute-force oracle; every row is re-asserted
@@ -72,6 +74,40 @@ OPEN_BEYOND = _beyond_hypothesis(
     (12, 14), [(12, 1), (14, 2)], [(4, 0), (0, 3), (2, 2)],
     [(12, 0.3, 1), (13, 0.25, 2), (14, 0.3, 3), (14, 0.2, 4)], "open",
 )
+
+
+# (graph, mode, (value, nodes_explored, witness)) of gamma_xk at k = 1: the
+# benchmark's 3-regular ladder in both modes, and a cycle and a path in open mode
+PINNED_SEARCHES = [
+    (random_regular(24, 3, 1), "closed", (7, 661, (0, 2, 3, 4, 7, 11, 19))),
+    (random_regular(24, 3, 1), "open", (8, 161, (0, 2, 3, 6, 7, 12, 21, 22))),
+    (random_regular(24, 3, 2), "closed", (7, 1641, (0, 1, 2, 3, 6, 20, 23))),
+    (random_regular(24, 3, 2), "open", (8, 1779, (3, 4, 8, 9, 10, 17, 20, 21))),
+    (random_regular(24, 3, 3), "closed", (7, 1185, (0, 1, 4, 8, 10, 15, 17))),
+    (random_regular(24, 3, 3), "open", (9, 2665, (0, 1, 3, 5, 10, 14, 16, 19, 23))),
+    (cycle(30), "open", (16, 209, (0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21, 24, 25, 26, 27))),
+    (path(26), "open", (14, 47, (1, 2, 5, 6, 9, 10, 13, 14, 17, 18, 21, 22, 23, 24))),
+]
+
+
+def _lowest(first, last):
+    """The lowest-id witnesses the scan returns at t = first..last."""
+    return [tuple(range(t)) for t in range(first, last + 1)]
+
+
+# (graph, k, the exact-size scan's answer at each t from k - 1 to n)
+PINNED_SCANS = [
+    pytest.param(
+        cycle(13), 1,
+        [None] * 5
+        + [(0, 1, 4, 7, 10), (0, 1, 2, 4, 7, 10), (0, 1, 2, 3, 4, 7, 10), (0, 1, 2, 3, 4, 5, 7, 10)]
+        + [(0, 1, 2, 3, 4, 5, 6, 7, 10), (0, 1, 2, 3, 4, 5, 6, 7, 8, 10)]
+        + _lowest(11, 13),
+        id="C13 k=1",
+    ),
+    pytest.param(gnp(12, 0.6, 3), 1, [None, None, (0, 4), (0, 1, 4)] + _lowest(4, 12), id="gnp(12,0.6,3) k=1"),
+    pytest.param(gnp(12, 0.6, 3), 2, [None] * 3 + [(0, 2, 4, 10)] + _lowest(5, 12), id="gnp(12,0.6,3) k=2"),
+]
 
 
 class TestPredicates:
@@ -276,6 +312,42 @@ class TestGammaSolver:
         assert is_ktuple_total_dominating(gnp(32, 0.3, 149), res.witness, 3)
         assert res.nodes_explored < 200_000
 
+    @pytest.mark.parametrize("g, mode, expected", PINNED_SEARCHES)
+    def test_search_is_pinned(self, g, mode, expected):
+        # value, nodes and witness of the id-order search; any change to its order or prunes shows here
+        res = gamma_xk(g, 1, mode)
+        assert (res.value, res.nodes_explored, res.witness) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_smaller_set_against_enumeration(self, seed):
+        # None exactly when no valid set avoiding the banned has fewer than bound
+        # vertices; otherwise such a set, and a minimum one when first is off
+        rng = random.Random(seed)
+        for _ in range(40):
+            n = rng.randint(1, 10)
+            g = gnp(n, rng.choice((0.3, 0.5, 0.7, 0.9)), rng.randrange(10**6))
+            mode = rng.choice(("closed", "open"))
+            k = rng.randint(1, 3)
+            if g.min_degree < (k - 1 if mode == "closed" else k):
+                continue
+            valid = is_ktuple_dominating if mode == "closed" else is_ktuple_total_dominating
+            banned = rng.getrandbits(n) & rng.getrandbits(n)
+            bound = rng.randint(0, n + 1)
+            sizes = [
+                mask.bit_count() for mask in range(1 << n) if not mask & banned and valid(g, bit_list(mask), k)
+            ]
+            least = min(sizes, default=None)
+            for first in (False, True):
+                found, _ = domination._smaller_set(g, k, mode, bound, banned, first)
+                case = (n, mode, k, banned, bound, first)
+                if least is None or least >= bound:
+                    assert found is None, case
+                    continue
+                assert found is not None and not found & banned, case
+                assert found.bit_count() < bound and valid(g, bit_list(found), k), case
+                if not first:
+                    assert found.bit_count() == least, case
+
 
 class TestOracle:
     def test_cap_is_enforced(self, monkeypatch):
@@ -337,6 +409,11 @@ class TestExactSizeScan:
             probed.clear()
             assert kjoin_minimum_size(cycle(5), 2, start) == 4
             assert probed == probes, start
+
+    @pytest.mark.parametrize("g, k, found", PINNED_SCANS)
+    def test_witness_at_every_size_is_pinned(self, g, k, found):
+        # found[i] is the scan's answer at t = k - 1 + i
+        assert [kjoin_decomposition_exists(g, k, t) for t in range(k - 1, g.n + 1)] == found
 
     @staticmethod
     def _starts(g, k, gamma):

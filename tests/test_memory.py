@@ -1,9 +1,9 @@
 """The solvers leave nothing behind: no reference cycle for the collector and
 no tuple parked on the interpreter's free lists, so memory stays flat over
-many calls; and `ktdom gen` writes as it goes, so its memory does not grow
-with the edge count.  How much a call leaves behind depends on the interpreter
-version, so the module also runs without pytest, as a script under each
-interpreter: ``PYTHONPATH=src python tests/test_memory.py``.
+many calls; and `gnp` and `ktdom gen` stream their edges, so their memory
+does not grow with the edge count.  How much a call leaves behind depends on
+the interpreter version, so the module also runs without pytest, as a script
+under each interpreter: ``PYTHONPATH=src python tests/test_memory.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import os
 import sys
 import tracemalloc
 
-from ktdom import compute_invariants, d_xk, gamma_xk, gnp, random_regular, verify_all
+from ktdom import compute_invariants, d_xk, gamma_xk, gnp, kjoin_minimum_size, random_regular, verify_all
 from ktdom.cli import main
 from ktdom.reports import cross_check
 
@@ -34,11 +34,13 @@ def growth_over_rounds(solve) -> int:
 def test_repeated_solves_keep_memory_flat():
     g = gnp(14, 0.8, 7)
     sparse = random_regular(24, 3, 2)  # its open-mode gamma search goes deep
+    gamma = gamma_xk(g, 2).value
 
     def solve():
         gamma_xk(g, 1)
         gamma_xk(sparse, 1, "open")
         d_xk(g, 2)
+        kjoin_minimum_size(g, 2, gamma)  # C11's walk: two exact-size scans
 
     growth = growth_over_rounds(solve)
     assert growth < BLOCK_LIMIT, f"allocated blocks grew by {growth} over {ROUNDS} rounds"
@@ -73,12 +75,24 @@ def test_gen_streams_its_output():
     assert peak < 1_000_000, f"peak traced memory {peak} bytes"
 
 
+def test_gnp_streams_its_edges():
+    # G(600, 0.9) has about 162,000 edges; a list of them peaked at about 15 MB
+    tracemalloc.start()
+    try:
+        gnp(600, 0.9, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, f"peak traced memory {peak} bytes"
+
+
 if __name__ == "__main__":
     for test in (
         test_repeated_solves_keep_memory_flat,
         test_repeated_cross_checks_keep_memory_flat,
         test_verify_all_leaves_no_garbage_cycles,
         test_gen_streams_its_output,
+        test_gnp_streams_its_edges,
     ):
         test()
         print(f"{test.__name__}: passed")
