@@ -3,7 +3,8 @@
 
 Counts the joint distribution of (gamma_xk, d_xk) per k, tallies check
 statuses from the bound catalogue, and reports the graphs attaining each
-sharp equality.  n = 6 takes a few minutes (32768 graphs); n <= 5 is seconds.
+sharp equality.  --max-n 6 covers 33867 graphs, 32768 of them at n = 6, and
+takes 4-13 s per k on a 2-vCPU VM under Python 3.11; n <= 5 is under a second.
 
     python3 scripts/small_graph_census.py --max-n 5 --k 2
     python3 scripts/small_graph_census.py --max-n 5 --k 1 --csv census.csv

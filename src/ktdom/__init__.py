@@ -36,7 +36,6 @@ from .domination import (
     is_ktuple_dominating_by_cases,
     is_ktuple_total_dominating,
     kjoin_decomposition_exists,
-    kjoin_minimum_size,
 )
 from .graphs import (
     DuplicateEdgeWarning,
@@ -98,7 +97,6 @@ __all__ = [
     "is_ktuple_total_dominating",
     "k_join",
     "kjoin_decomposition_exists",
-    "kjoin_minimum_size",
     "path",
     "random_regular",
     "read_graph",

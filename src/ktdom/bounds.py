@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domatic import d_xk, degree_ceiling, zelinka_floor
-from .domination import _json_ready, _needed_degree, kjoin_minimum_size, vertex_mask
+from .domination import (_json_ready, _needed_degree, is_ktuple_dominating_by_cases, kjoin_decomposition_exists,
+                         vertex_mask)
 from .graphs import Graph, complement
 from .reports import _INSTANCE_KEYS, InvariantReport, compute_invariants
 
@@ -342,11 +343,16 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
     else:
         checks.append(_compare("C10", gamma, 2 * k - 2, signature, *_SIGNATURE_NOTES, lower=True))
 
-    # C11: walk to the exact-size minimum from gamma (two probes when C11 holds)
+    # C11: supersets of blocks are blocks, so walk down from one at hand: gamma's
+    # witness if the literal test accepts it, else V (the degree gate makes V one).
+    # No block is smaller than k; when C11 holds, one probe at gamma - 1 decides it.
     if n > SCAN_CAP:
         checks.append(_na("C11", f"exact-size scan skipped for n = {n} > cap = {SCAN_CAP}"))
     else:
-        smallest = kjoin_minimum_size(g, k, gamma)
+        witness = inv.gamma.witness
+        smallest = len(witness) if is_ktuple_dominating_by_cases(g, witness, k) else n
+        while smallest > k and kjoin_decomposition_exists(g, k, smallest - 1) is not None:
+            smallest -= 1
         checks.append(_result("C11", smallest, gamma, HOLDS if smallest == gamma else VIOLATED))
 
     return BoundsReport(

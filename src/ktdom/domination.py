@@ -413,25 +413,3 @@ def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | No
                 level[d] += 1
                 level[d - 1] -= 1
         pos = v + 1
-
-
-def kjoin_minimum_size(g: Graph, k: int, start: int) -> int:
-    """Smallest t admitting an exact-size witness; equals gamma_xk's value
-    whenever both are defined (asserted across the test suite).
-
-    Supersets of valid sets are valid, so the sizes with a witness run from
-    the minimum to n, and the walk may start anywhere: it probes
-    min(start, n), walks up to the first size with a witness when that one
-    has none, and otherwise walks down while t > k and t - 1 has one (no
-    valid set is smaller than k).  Starting from gamma costs two probes.
-    start must be at least k - 1; the V witness at t = n ends the walk up.
-    """
-    t = min(start, g.n)
-    if kjoin_decomposition_exists(g, k, t) is None:
-        t += 1
-        while kjoin_decomposition_exists(g, k, t) is None:
-            t += 1
-        return t
-    while t > k and kjoin_decomposition_exists(g, k, t - 1) is not None:
-        t -= 1
-    return t

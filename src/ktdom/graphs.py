@@ -286,8 +286,7 @@ def complement(g: Graph) -> Graph:
 def read_graph(text: str) -> Graph:
     """Parse edge-list text.  Duplicate edges warn and are dropped."""
     n: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    seen: set[tuple[int, int]] = set()  # Graph ORs bits in, so the order of the edges does not matter
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -320,10 +319,9 @@ def read_graph(text: str) -> Graph:
             warnings.warn(f"line {lineno}: duplicate edge {u} {v} dropped", DuplicateEdgeWarning, stacklevel=2)
             continue
         seen.add(key)
-        edges.append(key)
     if n is None:
         raise GraphFormatError("missing header line 'n <count>'")
-    return Graph(n, edges)
+    return Graph(n, seen)
 
 
 def edge_lines(g: Graph) -> Iterator[str]:

@@ -26,11 +26,11 @@ from ktdom import (
     gnp,
     is_domatic_partition,
     is_ktuple_dominating,
-    kjoin_minimum_size,
     verify_all,
     zelinka_partition,
 )
 from strategies import random_graph, sweep
+from test_domination import exact_size_minimum
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -198,7 +198,7 @@ def test_criterion_7_exact_size_characterization():
             if g.min_degree < k - 1:
                 continue
             compared += 1
-            smallest = kjoin_minimum_size(g, k, k - 1)
+            smallest = exact_size_minimum(g, k)
             reference = gamma_xk(g, k).value
             if smallest != reference:
                 mismatches.append((g.n, g.edges(), k, smallest, reference))

@@ -23,10 +23,11 @@ from ktdom import (
     d_xk,
     disjoint_union,
     gnp,
+    is_ktuple_dominating,
     path,
     verify_all,
 )
-from ktdom import bounds, domination
+from ktdom import bounds
 from ktdom.domatic import degree_ceiling
 from strategies import graphs
 from test_domatic import within
@@ -226,17 +227,20 @@ class TestIndividualChecks:
     def test_exact_size_scan_agrees(self):
         assert verify_all(cycle(5), 2).check("C11").status == HOLDS
 
-    def test_exact_size_scan_probes_gamma_and_one_below(self, monkeypatch):
+    def test_exact_size_scan_probes_one_below_gamma(self, monkeypatch):
         probed = []
-        real = domination.kjoin_decomposition_exists
+        real = bounds.kjoin_decomposition_exists
 
         def spy(g, k, t):
             probed.append(t)
             return real(g, k, t)
 
-        monkeypatch.setattr(domination, "kjoin_decomposition_exists", spy)
+        monkeypatch.setattr(bounds, "kjoin_decomposition_exists", spy)
         assert verify_all(cycle(5), 2).check("C11").status == HOLDS
-        assert probed == [4, 3]  # gamma = 4 has a set, 3 has none
+        assert probed == [3]  # gamma's witness is a block of 4; 3 has none
+        probed.clear()
+        assert verify_all(complete(4), 2).check("C11").status == HOLDS
+        assert probed == []  # gamma = k: no block is smaller
 
     def test_exact_size_scan_capped(self):
         report = verify_all(gnp(17, 0.5, 1), 1)
@@ -270,6 +274,8 @@ class TestPerturbedValues:
     compute_invariants is replaced by the true report with gamma or d
     shifted, so every violated branch of the catalogue is reached; the
     notes fragment pins which branch fired (empty: the plain comparison).
+    The field "gamma-witness" also replaces gamma's witness by the first
+    vertices, as many as the shifted value, which must not form a block.
     """
 
     CASES = [
@@ -296,6 +302,7 @@ class TestPerturbedValues:
         ("C10", complete_bipartite(2, 2), 2, "gamma", -1, "only on K_{k-1,k-1}"),
         ("C11", cycle(5), 2, "gamma", 1, ""),
         ("C11", cycle(5), 2, "gamma", -1, ""),
+        ("C11", cycle(5), 2, "gamma-witness", -1, ""),  # no block of the shifted size: fall back to V
     ]
 
     @pytest.mark.parametrize("check_id, g, k, field, shift, notes", CASES,
@@ -305,9 +312,13 @@ class TestPerturbedValues:
 
         def shifted(graph, kk, *args, **kwargs):
             report = real(graph, kk, *args, **kwargs)
-            name = "gamma" if field == "gamma" else "domatic"
+            name = "domatic" if field == "d" else "gamma"
             result = getattr(report, name)
-            return dataclasses.replace(report, **{name: dataclasses.replace(result, value=result.value + shift)})
+            changes = {"value": result.value + shift}
+            if field == "gamma-witness":
+                changes["witness"] = tuple(range(changes["value"]))
+                assert not is_ktuple_dominating(graph, changes["witness"], kk)
+            return dataclasses.replace(report, **{name: dataclasses.replace(result, **changes)})
 
         monkeypatch.setattr(bounds, "compute_invariants", shifted)
         check = verify_all(g, k).check(check_id)
@@ -316,5 +327,5 @@ class TestPerturbedValues:
             assert notes in check.notes
         else:
             assert check.notes == ""
-        if check_id == "C11":  # the walk from the shifted gamma still ends at the true one
+        if check_id == "C11":  # the walk down from a block at hand still ends at the true gamma
             assert check.lhs == real(g, k).gamma.value

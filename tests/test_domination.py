@@ -26,7 +26,6 @@ from ktdom import (
     is_ktuple_dominating_by_cases,
     is_ktuple_total_dominating,
     kjoin_decomposition_exists,
-    kjoin_minimum_size,
     path,
     random_regular,
 )
@@ -47,6 +46,11 @@ FROZEN_GAMMA = [
     (cycle(4), 2, "open", 4),
     (cycle(6), 1, "open", 4),
 ]
+
+
+def exact_size_minimum(g, k):
+    """The least t in k..n with an exact-size-t block, by the literal definition."""
+    return next(t for t in range(k, g.n + 1) if kjoin_decomposition_exists(g, k, t) is not None)
 
 
 @pytest.mark.parametrize("g, k, mode, expected", FROZEN_GAMMA)
@@ -270,7 +274,7 @@ class TestGammaSolver:
     @pytest.mark.parametrize("g, k", CLOSED_BEYOND)
     def test_closed_matches_exact_size_scan_beyond_hypothesis(self, g, k):
         res = gamma_xk(g, k)
-        assert res.value == kjoin_minimum_size(g, k, k - 1)
+        assert res.value == exact_size_minimum(g, k)
         assert len(res.witness) == res.value and is_ktuple_dominating(g, res.witness, k)
 
     @pytest.mark.parametrize("g, k", OPEN_BEYOND)
@@ -396,41 +400,19 @@ class TestExactSizeScan:
         with pytest.raises(DegreeGateError):
             kjoin_decomposition_exists(complete(2), 3, 2)
 
-    def test_minimum_size_probes_each_size_once(self, monkeypatch):
-        probed = []
-        real = domination.kjoin_decomposition_exists
-
-        def spy(g, k, t):
-            probed.append(t)
-            return real(g, k, t)
-
-        monkeypatch.setattr(domination, "kjoin_decomposition_exists", spy)
-        for start, probes in ((1, [1, 2, 3, 4]), (5, [5, 4, 3]), (9, [5, 4, 3])):
-            probed.clear()
-            assert kjoin_minimum_size(cycle(5), 2, start) == 4
-            assert probed == probes, start
-
     @pytest.mark.parametrize("g, k, found", PINNED_SCANS)
     def test_witness_at_every_size_is_pinned(self, g, k, found):
         # found[i] is the scan's answer at t = k - 1 + i
         assert [kjoin_decomposition_exists(g, k, t) for t in range(k - 1, g.n + 1)] == found
 
-    @staticmethod
-    def _starts(g, k, gamma):
-        # the upward scan from k - 1, one below gamma, gamma itself, one above, and n
-        return (k - 1, gamma - 1, gamma, gamma + 1, g.n)
-
     def test_minimum_size_equals_gamma(self):
         for g, k, mode, expected in FROZEN_GAMMA:
             if mode == "closed":
-                for start in self._starts(g, k, expected):
-                    assert kjoin_minimum_size(g, k, start) == expected, (g.n, k, start)
+                assert exact_size_minimum(g, k) == expected, (g.n, k)
 
     @given(graphs(max_n=6), st.integers(1, 3))
     @settings(max_examples=200)
     def test_minimum_size_equals_gamma_random(self, g, k):
         if g.min_degree < k - 1:
             return
-        gamma = gamma_xk(g, k).value
-        for start in self._starts(g, k, gamma):
-            assert kjoin_minimum_size(g, k, start) == gamma, start
+        assert exact_size_minimum(g, k) == gamma_xk(g, k).value

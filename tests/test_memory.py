@@ -13,7 +13,7 @@ import os
 import sys
 import tracemalloc
 
-from ktdom import compute_invariants, d_xk, gamma_xk, gnp, kjoin_minimum_size, random_regular, verify_all
+from ktdom import compute_invariants, d_xk, gamma_xk, gnp, kjoin_decomposition_exists, random_regular, verify_all
 from ktdom.cli import main
 from ktdom.reports import cross_check
 
@@ -40,7 +40,7 @@ def test_repeated_solves_keep_memory_flat():
         gamma_xk(g, 1)
         gamma_xk(sparse, 1, "open")
         d_xk(g, 2)
-        kjoin_minimum_size(g, 2, gamma)  # C11's walk: two exact-size scans
+        kjoin_decomposition_exists(g, 2, gamma - 1)  # C11's one probe when it holds
 
     growth = growth_over_rounds(solve)
     assert growth < BLOCK_LIMIT, f"allocated blocks grew by {growth} over {ROUNDS} rounds"
