@@ -139,89 +139,41 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
     as ascending vertex lists, or return None when no such colouring exists.
 
     A vertex's cover is N[x] in closed mode and N(x) in open mode.  Per
-    vertex x we track, against its cover, the per-class hit counts, the
-    undecided coverage, and the deficit sum(max(0, k - hits)).
+    vertex x we keep, against its cover, the per-class hit counts, the
+    deficit sum(max(0, k - hits)) and the slack (uncoloured cover vertices
+    minus deficit); per class, its size, its need (below) and, for each
+    h < k, the number of vertices with at most h hits of it.
     The search is fail-first, as in DSATUR: it picks the vertex w with the
-    least slack (undecided coverage minus deficit; ties go to the lower id),
-    colours the lowest-id uncoloured vertex of w's cover, and tries first
-    the classes still short at w, then the rest, each group in id order;
-    nothing below the choice of w is scored.  A vertex joins an opened class
-    or opens the next one, which kills class permutation symmetry; once
-    every deficit is met the rest join class 0.
+    least slack (ties go to the lower id), colours the lowest-id uncoloured
+    vertex of w's cover, and tries first the classes still short at w, then
+    the rest, each group in id order; nothing below the choice of w is
+    scored.  A vertex joins an opened class or opens the next one, which
+    kills class permutation symmetry; once every deficit is met the rest
+    join class 0.
 
-    Two rules prune.  Each undecided cover vertex repairs at most one unit
-    of one class, so deficit > undecided fails.  Class c still needs
-    max(gamma - |c|, max_x(k - hits of c at x), 0) members, where gamma is
-    the minimum size of a k-tuple dominating set, so a sum of needs above
-    the uncoloured count fails.  The search runs on an explicit stack.
+    Two rules prune.  Each uncoloured cover vertex repairs at most one unit
+    of one class, so a negative slack fails.  Colouring v into c costs each
+    x in v's cover one uncoloured vertex and, while c is short at x, one
+    unit of deficit, so only a hit beyond k moves a slack.  Class c still
+    needs max(gamma - |c|, max_x(k - hits of c at x), 0) members, where
+    gamma is the minimum size of a k-tuple dominating set, so a sum of needs
+    above the uncoloured count fails.  The state is updated in place on each
+    colouring and undo, and the search runs on an explicit stack.
     num_classes must not exceed degree_ceiling(g.min_degree, k, mode), so
-    that every cover holds at least k * num_classes vertices.
+    that every slack starts at zero or more.
     """
     n = g.n
     cover_bits = g.cover_lists(mode)
     color = [-1] * n
     counts = [[0] * num_classes for _ in range(n)]
-    undecided = [len(bits) for bits in cover_bits]
     deficit = [k * num_classes] * n
+    slack = [len(bits) - k * num_classes for bits in cover_bits]
     size = [0] * num_classes
-    # level[c][h]: the vertices with exactly h < k hits of class c
-    level = [[n] + [0] * (k - 1) for _ in range(num_classes)]
+    # low[c][h]: the vertices with at most h < k hits of class c
+    low = [[n] * k for _ in range(num_classes)]
     need = [gamma] * num_classes  # an empty class needs gamma >= k members
     spare = n - sum(need)  # uncoloured vertices minus the summed class needs
     opened = 0
-
-    def class_need(c: int) -> int:
-        lc = level[c]
-        h = 0
-        while h < k and not lc[h]:
-            h += 1
-        return max(gamma - size[c], k - h)
-
-    def assign(v: int, c: int) -> bool:
-        nonlocal spare, opened
-        color[v] = c
-        size[c] += 1
-        if c == opened:
-            opened += 1
-        ok = True
-        lc = level[c]
-        for u in cover_bits[v]:
-            undecided[u] -= 1
-            cu = counts[u]
-            h = cu[c]
-            cu[c] = h + 1
-            if h < k:
-                lc[h] -= 1
-                if h + 1 < k:
-                    lc[h + 1] += 1
-                deficit[u] -= 1
-            if deficit[u] > undecided[u]:
-                ok = False
-        was = need[c]
-        need[c] = class_need(c)
-        spare += was - need[c] - 1
-        return ok and spare >= 0
-
-    def unassign(v: int, c: int) -> None:
-        nonlocal spare, opened
-        color[v] = -1
-        size[c] -= 1
-        if not size[c]:
-            opened = c
-        lc = level[c]
-        for u in cover_bits[v]:
-            undecided[u] += 1
-            cu = counts[u]
-            h = cu[c] - 1
-            cu[c] = h
-            if h < k:
-                lc[h] += 1
-                if h + 1 < k:
-                    lc[h + 1] -= 1
-                deficit[u] += 1
-        was = need[c]
-        need[c] = class_need(c)
-        spare += was - need[c] + 1
 
     stack: list[list] = []  # frames [vertex, classes in the order to try, next index]
     while True:
@@ -229,9 +181,8 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
         w = -1
         w_slack = 0
         for x in range(n):
-            dx = deficit[x]
-            if dx:
-                sx = undecided[x] - dx
+            if deficit[x]:
+                sx = slack[x]
                 if w < 0 or sx < w_slack:
                     w, w_slack = x, sx
         if w < 0:
@@ -239,25 +190,73 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
             for v, c in enumerate(color):
                 classes[max(c, 0)].append(v)
             return classes
-        # colour the lowest-id uncoloured vertex of w's cover (0 < deficit <= undecided, so one
-        # exists), trying the classes short at w first
+        # colour the lowest-id uncoloured vertex of w's cover (it has deficit > 0 and slack >= 0, so
+        # one exists), trying the classes short at w first
         for v in cover_bits[w]:
             if color[v] < 0:
                 break
         hits_w = counts[w]
         classes = range(min(opened + 1, num_classes))
-        stack.append([v, [c for c in classes if hits_w[c] < k] + [c for c in classes if hits_w[c] >= k], 0])
+        order = [c for c in classes if hits_w[c] < k]
+        if len(order) < len(classes):
+            order += [c for c in classes if hits_w[c] >= k]
+        stack.append([v, order, 0])
         # try the next class of the top frame, backtracking over exhausted frames
         while stack:
             frame = stack[-1]
             v, order, i = frame
-            if i:
-                unassign(v, order[i - 1])
+            if i:  # undo v's colouring into the class tried last
+                c = order[i - 1]
+                color[v] = -1
+                size[c] -= 1
+                if not size[c]:
+                    opened = c
+                lc = low[c]
+                for u in cover_bits[v]:
+                    cu = counts[u]
+                    h = cu[c] - 1
+                    cu[c] = h
+                    if h < k:
+                        lc[h] += 1
+                        deficit[u] += 1
+                    else:
+                        slack[u] += 1
+                h = 0
+                while h < k and not lc[h]:
+                    h += 1
+                was = need[c]
+                need[c] = max(gamma - size[c], k - h)
+                spare += was - need[c] + 1
             if i == len(order):
                 stack.pop()
                 continue
             frame[2] = i + 1
-            if assign(v, order[i]):
+            c = order[i]
+            color[v] = c
+            size[c] += 1
+            if c == opened:
+                opened += 1
+            ok = True
+            lc = low[c]
+            for u in cover_bits[v]:
+                cu = counts[u]
+                h = cu[c]
+                cu[c] = h + 1
+                if h < k:
+                    lc[h] -= 1
+                    deficit[u] -= 1
+                else:
+                    s = slack[u] - 1
+                    slack[u] = s
+                    if s < 0:
+                        ok = False
+            h = 0
+            while h < k and not lc[h]:
+                h += 1
+            was = need[c]
+            need[c] = max(gamma - size[c], k - h)
+            spare += was - need[c] - 1
+            if ok and spare >= 0:
                 break
         else:
             return None

@@ -295,6 +295,39 @@ class TestFailFirstSearch:
         assert res.value == res.bounds_used.ceiling == 8
         assert is_domatic_partition(g, res.witness)
 
+    @given(graphs(max_n=8), st.integers(1, 2), st.sampled_from(["closed", "open"]))
+    @settings(max_examples=200, deadline=None)
+    def test_each_count_is_found_exactly_up_to_the_oracle(self, g, k, mode):
+        # called directly: inside d_xk the minimum-set rule settles most top counts first
+        if gated(g, k, mode):
+            return
+        gamma = gamma_xk(g, k, mode).value
+        d = d_oracle(g, k, mode).value
+        for c in range(2, domatic.degree_ceiling(g.min_degree, k, mode) + 1):
+            classes = domatic._find_partition(g, k, mode, c, gamma)
+            if c > d:
+                assert classes is None, c
+            else:
+                assert classes is not None, c
+                p = domatic._partition(classes, k, mode)
+                assert len(p.classes) == c and is_domatic_partition(g, p), c
+
+    # frozen witnesses of colourings that backtrack, each row followed by the colourings
+    # tried: a change to the order in which the search visits its nodes moves them
+    @pytest.mark.parametrize("g, k, mode, classes", [
+        (gnp(16, 0.8, 7), 2, "closed", ((0, 1, 12, 14), (2, 3, 5), (4, 13, 15), (6, 7, 10), (8, 9, 11))),  # 466
+        (gnp(16, 0.8, 7), 2, "open", ((0, 2, 15), (1, 7, 8, 10), (3, 4, 5), (6, 12, 14), (9, 11, 13))),  # 628
+        (gnp(14, 0.9, 7), 2, "closed", ((0, 2), (1, 7, 9), (3, 5), (4, 6, 11), (8, 10), (12, 13))),  # 511
+        (gnp(14, 0.8, 7), 2, "closed", ((0, 1, 2), (3, 8), (4, 5, 9), (6, 10, 12), (7, 11, 13))),  # 223
+        (gnp(20, 0.7, 7), 2, "open",
+         ((0, 1, 2, 17), (3, 6, 7), (4, 14, 15, 18), (5, 11, 12, 16, 19), (8, 9, 10, 13))),  # 132
+    ], ids=["gnp(16,0.8,7)-closed", "gnp(16,0.8,7)-open", "gnp(14,0.9,7)-closed", "gnp(14,0.8,7)-closed",
+            "gnp(20,0.7,7)-open"])
+    def test_frozen_backtracking_witness(self, g, k, mode, classes):
+        res = d_xk(g, k, mode)
+        assert res.witness.classes == classes
+        assert is_domatic_partition(g, res.witness)
+
     def test_search_depth_is_not_bounded_by_recursion(self):
         # 60 vertices are coloured one below the other on an explicit stack
         g = complement(cycle(60))
