@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domatic import d_xk, degree_ceiling, zelinka_floor
-from .domination import (_json_ready, _needed_degree, is_ktuple_dominating_by_cases, kjoin_decomposition_exists,
-                         vertex_mask)
+from .domination import (_json_ready, _needed_degree, _Record, is_ktuple_dominating_by_cases,
+                         kjoin_decomposition_exists, vertex_mask)
 from .graphs import Graph, complement
 from .reports import _INSTANCE_KEYS, InvariantReport, compute_invariants
 
@@ -58,18 +58,18 @@ CHECK_IDS = tuple(_STATEMENTS)
 
 SCAN_CAP = 16  # the C11 search is exponential in n
 
+# the values block of every bounds report, in field order; the fields of the same names hold it
+_VALUE_KEYS = ("gamma", "d", "gamma_total", "d_total", "d_complement")
+
 
 @dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(_Record):
     check_id: str
     statement: str
     lhs: object | None
     rhs: object | None
     status: str
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        return _json_ready(self)
 
 
 @dataclass(slots=True)
@@ -116,14 +116,7 @@ class BoundsReport:
     def to_dict(self) -> dict:
         return {
             "instance": {key: getattr(self, key) for key in (*_INSTANCE_KEYS, "regular", "bipartite")},
-            "values": {
-                "gamma": self.gamma,
-                "d": self.d,
-                "gamma_total": self.gamma_total,
-                "d_total": self.d_total,
-                "d_complement": self.d_complement,
-                "r_used": self.r_used,
-            },
+            "values": {key: getattr(self, key) for key in (*_VALUE_KEYS, "r_used")},
             "checks": _json_ready(self.checks),
             "status_counts": self.status_counts(),
         }

@@ -25,7 +25,7 @@ import warnings
 from collections import Counter
 from typing import Iterable
 
-from .bounds import CHECK_IDS, VIOLATED, BoundsReport, verify_all
+from .bounds import _VALUE_KEYS, CHECK_IDS, VIOLATED, BoundsReport, verify_all
 from .graphs import (MAX_READ_VERTICES, Graph, PairingFailureError, clique_chain, complete, complete_bipartite, cycle,
                      disjoint_union, edge_lines, gnp, k_join, path, random_regular, read_graph)
 from .reports import _INSTANCE_KEYS, _check_oracle_cap, compute_invariants, cross_check
@@ -47,7 +47,7 @@ _INTEGER_FAMILIES = {
 }
 
 # the BoundsReport values an ensemble row writes, in column order
-_REPORT_COLUMNS = (*_INSTANCE_KEYS, "gamma", "d", "gamma_total", "d_total", "d_complement")
+_REPORT_COLUMNS = (*_INSTANCE_KEYS, *_VALUE_KEYS)
 
 CSV_COLUMNS = (
     "instance_id",

@@ -18,7 +18,7 @@ from .domination import (
     _check_k,
     _check_mode,
     _dominates,
-    _json_ready,
+    _Record,
     _smaller_set,
     check_degree_gate,
     gamma_oracle,
@@ -32,7 +32,7 @@ ORACLE_PARTITION_CAP = 10
 
 
 @dataclass(frozen=True, slots=True)
-class DomaticPartition:
+class DomaticPartition(_Record):
     """Partition certificate: classes as sorted tuples, ordered by minimum,
     an order that _partition, the one builder of every solver's certificate,
     enforces."""
@@ -41,12 +41,9 @@ class DomaticPartition:
     k: int
     mode: str
 
-    def to_dict(self) -> dict:
-        return _json_ready(self)
-
 
 @dataclass(frozen=True, slots=True)
-class SearchBounds:
+class SearchBounds(_Record):
     """Bounds that framed a domatic search.
 
     zelinka_floor is max(1, floor(n / (k(n-delta)))) in closed mode, the
@@ -66,18 +63,12 @@ class SearchBounds:
     def ceiling(self) -> int:
         return min(self.degree_ceiling, self.gamma_ceiling)
 
-    def to_dict(self) -> dict:
-        return _json_ready(self)
-
 
 @dataclass(frozen=True, slots=True)
-class DomaticResult:
+class DomaticResult(_Record):
     value: int
     witness: DomaticPartition
     bounds_used: SearchBounds
-
-    def to_dict(self) -> dict:
-        return _json_ready(self)
 
 
 def is_domatic_partition(g: Graph, p: DomaticPartition) -> bool:
@@ -274,17 +265,18 @@ def _minimum_set_rule(
 
     The family is explored once, at top, by first-hit searches for a
     minimum set avoiding a banned mask.  A greedy packing grows from the
-    witness; m disjoint sets mean that nothing can be refuted.  At slack 0
-    (top * gamma = n) those top sets partition V and are returned as the
-    classes.  Otherwise H takes the highest-degree vertex (then the lowest
-    id) of each packed set and of each minimum set that still avoids it;
-    when none does while |H| < m, every count above (n + |H|) // (gamma + 1)
-    is refuted.  Returns the largest count left open and the slack-0
-    classes or None.
+    witness, up to m sets; top <= n // gamma makes m <= top, with equality
+    only at slack 0 (top * gamma = n), where top packed sets partition V and
+    are returned as the classes.  Otherwise H takes the highest-degree
+    vertex (then the lowest id) of each packed set and of each minimum set
+    that still avoids it: m packed sets give |H| = m and refute nothing, and
+    when no minimum set avoids H while |H| < m, every count above
+    (n + |H|) // (gamma + 1) is refuted.  Returns the largest count left
+    open and the slack-0 classes or None.
     """
     size, n = gamma.value, g.n
     want = top * (size + 1) - n
-    if want < 2:  # a nonempty family needs |H| >= 1
+    if want < 2:  # |H| >= 1 refutes no m < 2, and at top = 1 the witness alone is no partition
         return top, None
     packing = [vertex_mask(g, gamma.witness)]
     used = packing[0]
@@ -294,8 +286,8 @@ def _minimum_set_rule(
             break
         packing.append(found)
         used |= found
-    if len(packing) == want:
-        return top, [bit_list(mask) for mask in packing] if top * size == n else None
+    if len(packing) == top:
+        return top, [bit_list(mask) for mask in packing]
 
     hit = 0
     while hit.bit_count() < want:
@@ -318,9 +310,9 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     The minimum sets settle the top counts first (_minimum_set_rule): c
     classes on n vertices include at least m = c(gamma + 1) - n disjoint
     minimum sets, so a set H meeting every minimum set refutes each c with
-    m > |H|, since a packing is never larger than a cover.  At a slack-0
-    ceiling (ceiling * gamma = n) a packing of that many minimum sets is
-    itself the witness and the colouring search is skipped.
+    m > |H|, since a packing is never larger than a cover.  The rule gives
+    a witness only at a slack-0 ceiling (ceiling * gamma = n): a packing of
+    that many minimum sets, and the colouring search is skipped.
 
     ``gamma`` may pass a precomputed gamma_xk(g, k, mode) result to avoid a
     second minimum solve; a result for another k or mode is a ValueError.

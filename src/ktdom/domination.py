@@ -143,8 +143,17 @@ def _json_ready(value: object) -> object:
     return value
 
 
+class _Record:
+    """The base of every result record: to_dict writes its _json_ready layout."""
+
+    __slots__ = ()
+
+    def to_dict(self) -> dict:
+        return _json_ready(self)
+
+
 @dataclass(frozen=True, slots=True)
-class GammaResult:
+class GammaResult(_Record):
     """Minimum cardinality plus a witness set and search statistics."""
 
     value: int
@@ -152,9 +161,6 @@ class GammaResult:
     mode: str
     k: int
     nodes_explored: int
-
-    def to_dict(self) -> dict:
-        return _json_ready(self)
 
 
 def _greedy_upper(g: Graph, k: int, mode: str) -> int:

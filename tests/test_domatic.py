@@ -378,6 +378,15 @@ class TestMinimumSetRule:
         assert (left, top) == (3, 3)
         assert d_xk(cycle(6), 1).witness.classes == packing.classes == ((0, 3), (1, 4), (2, 5))
 
+    @pytest.mark.parametrize("mode", ["closed", "open"])
+    def test_one_class_is_never_a_packing(self, mode):
+        # P4 at k = 1 has gamma = 2 < 4, so gamma's witness alone covers only part of V: at
+        # top = 1 the rule must answer with no classes, not pass the witness off as a partition
+        g = path(4)
+        gamma = gamma_xk(g, 1, mode)
+        assert gamma.value < g.n
+        assert domatic._minimum_set_rule(g, 1, mode, 1, gamma) == (1, None)
+
     def test_slack_zero_packing_decides_a_dense_ceiling(self):
         # gamma = 2 on 28 vertices, so 14 classes are 14 disjoint minimum sets: the packing
         # returns them in about a millisecond, and the colouring search alone at 14 classes

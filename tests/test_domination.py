@@ -33,6 +33,7 @@ from ktdom import domination
 from ktdom.domination import ORACLE_VERTEX_CAP
 from ktdom.graphs import bit_list
 from strategies import all_graphs, graphs
+from test_domatic import within
 
 # value table derived from the brute-force oracle; every row is re-asserted
 # against both the solver and the oracle below
@@ -388,6 +389,22 @@ class TestExactSizeScan:
         finally:
             sys.setrecursionlimit(limit)
         assert found == tuple(range(50))
+
+    def test_negative_slack_prune_settles_a_sparse_probe(self):
+        # C26 at k = 2 has gamma = 18; the probe at 17 takes about 16 ms, and about 13 s
+        # without the prune on a vertex that too few undecided neighbours can still serve
+        found = within(1, lambda: kjoin_decomposition_exists(cycle(26), 2, 17), "scan of C26 at k = 2, t = 17")
+        assert found is None
+
+    def test_remaining_prune_settles_dense_probes(self):
+        # the probes at gamma - 1 that C11 makes on a dense graph within its scan cap take
+        # under a millisecond in all, and about 0.23 s without the prune on a vertex whose
+        # demand exceeds the vertices still to take
+        g = gnp(16, 0.9, 1)
+        probes = [(k, gamma_xk(g, k).value - 1) for k in range(5, 12)]
+        found = within(0.025, lambda: [kjoin_decomposition_exists(g, k, t) for k, t in probes],
+                       "scans of gnp(16, 0.9, 1) at gamma - 1")
+        assert found == [None] * len(probes)
 
     def test_size_bounds_validated(self):
         with pytest.raises(ValueError, match="at least"):

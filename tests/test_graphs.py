@@ -176,6 +176,30 @@ class TestFamilies:
         assert complement(g).edge_count == g.n * (g.n - 1) // 2 - g.edge_count
 
 
+ARGUMENT_CHECKS = [
+    ("complete(0)", lambda: complete(0), "complete graph needs at least one vertex"),
+    ("path(0)", lambda: path(0), "path needs at least one vertex"),
+    ("gnp(0, 0.5, 1)", lambda: gnp(0, 0.5, 1), "a graph needs at least one vertex"),
+    ("random_regular(0, 0, 1)", lambda: random_regular(0, 0, 1), "a graph needs at least one vertex"),
+    ("k_join(P2, P2, 0)", lambda: k_join(path(2), path(2), 0), "k must be a positive integer"),
+    ("clique_chain(0)", lambda: clique_chain(0), "k must be a positive integer"),
+    # Graph.__eq__ answers NotImplemented, so Python falls back to identity
+    ("Graph(1).__eq__(1)", lambda: Graph(1).__eq__(1), NotImplemented),
+    ("Graph(1) == 1", lambda: Graph(1) == 1, False),
+]
+
+
+@pytest.mark.parametrize("call, outcome", [case[1:] for case in ARGUMENT_CHECKS],
+                         ids=[case[0] for case in ARGUMENT_CHECKS])
+def test_argument_checks(call, outcome):
+    """A call that a generator's checks refuse raises the ValueError named here; the rest return outcome."""
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=f"^{outcome}$"):
+            call()
+    else:
+        assert call() is outcome
+
+
 class TestEdgeListFormat:
     @given(graphs())
     @settings(max_examples=200)

@@ -33,16 +33,20 @@ def test_script_runs(monkeypatch, capsys, script, argv, header):
 @pytest.mark.parametrize(
     "argv",
     [
-        [str(SCRIPTS / "family_sharpness.py"), "--max-size", "8", "--max-k", "3"],
-        [str(SCRIPTS / "small_graph_census.py"), "--max-n", "4", "--k", "1"],
-        ["-m", "ktdom.cli", "gen", "complete", "300"],  # one write, larger than a pipe holds
+        # unbuffered, so that every row after the first meets the closed pipe at once
+        ["-u", str(SCRIPTS / "family_sharpness.py"), "--max-size", "8", "--max-k", "3"],
+        ["-u", str(SCRIPTS / "small_graph_census.py"), "--max-n", "4", "--k", "1"],
+        ["-u", "-m", "ktdom.cli", "gen", "complete", "300"],  # one write, larger than a pipe holds
+        # block-buffered, as in `ktdom gen complete 2000 | head -n 1`: a write of a full buffer
+        # meets the closed pipe, and the flush at exit must not report it
+        ["-m", "ktdom.cli", "gen", "complete", "2000"],
     ],
-    ids=["family_sharpness", "small_graph_census", "ktdom"],
+    ids=["family_sharpness", "small_graph_census", "ktdom", "ktdom-buffered"],
 )
 def test_closed_pipe_ends_quietly(argv):
-    # unbuffered, so that every row after the first meets the closed pipe at once
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-u", *argv],
+    env.pop("PYTHONUNBUFFERED", None)  # only -u makes a case unbuffered
+    proc = subprocess.Popen([sys.executable, *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
     try:
         assert proc.stdout.readline()
