@@ -338,18 +338,18 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | Non
     The ceiling is the one d_xk starts from, with gamma_oracle's minimum in
     place of gamma_xk's; every valid partition has gamma * d <= n, so the
     cap never cuts off the answer.  Independent of d_xk: restricted-growth
-    enumeration plus the literal case-split membership test on plain sets.
-    Blocks are vertex masks, and the test runs at most once per distinct
-    mask.  Before placing vertex v, a block b whose b | {v..n-1} fails is
-    dropped with its branch: every class grown from b lies inside that mask,
-    and supersets of valid sets are valid, so none of them can pass.  Before
-    that test, the class sizes prune: every valid class has at least gamma
-    members, so a branch is dropped when filling its blocks up to gamma
-    needs more than the n - v vertices left, or when the blocks plus
-    (n - v - that need) // gamma new ones cannot beat the best count.  Only
-    branches without a valid partition of more classes than the best are
-    cut, so the first best partition in restricted-growth order is still
-    the one returned.  Hard error above the cap.
+    enumeration plus the literal case-split membership test on neighbourhood
+    masks.  Blocks are vertex masks, each tested as it is, at most once per
+    distinct mask.  Before placing vertex v, a block b whose b | {v..n-1}
+    fails is dropped with its branch: every class grown from b lies inside
+    that mask, and supersets of valid sets are valid, so none of them can
+    pass.  Before that test, the class sizes prune: every valid class has
+    at least gamma members, so a branch is dropped when filling its blocks
+    up to gamma needs more than the n - v vertices left, or when the blocks
+    plus (n - v - that need) // gamma new ones cannot beat the best count.
+    Only branches without a valid partition of more classes than the best
+    are cut, so the first best partition in restricted-growth order is
+    still the one returned.  Hard error above the cap.
 
     ``gamma`` may pass a precomputed gamma_oracle(g, k, mode) result to
     avoid a second minimum solve; a result for another k or mode is a
@@ -362,8 +362,6 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | Non
     if gamma is None:
         gamma = gamma_oracle(g, k, mode)
     bounds = _search_bounds(g, k, mode, gamma)
-    nbrs = [set(g.neighbors(v)) for v in range(n)]
-
     best = [(1 << n) - 1]  # the best partition so far, as block masks
     max_blocks = bounds.ceiling
     size = gamma.value  # every valid class has at least this many members
@@ -381,7 +379,7 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | Non
             mask = b | rest
             ok = passes.get(mask)
             if ok is None:
-                ok = passes[mask] = satisfies_by_cases(nbrs, set(bit_list(mask)), k, mode)
+                ok = passes[mask] = satisfies_by_cases(g.adj, mask, k, mode)
             if not ok:
                 return
         if v == n:  # rest is empty, so every block passed the test as it stands

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .graphs import Graph, bit_list, iter_bits
+from .graphs import Graph, bit_list
 
 ORACLE_VERTEX_CAP = 20
 
@@ -94,15 +94,16 @@ def is_ktuple_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
     return _dominates(g.closed, vertex_mask(g, s), k)
 
 
-def satisfies_by_cases(nbrs: list[set[int]], members: set[int], k: int, mode: str) -> bool:
-    """The literal definition on plain sets, shared by the references only.
+def satisfies_by_cases(nbrs: tuple[int, ...], members: int, k: int, mode: str) -> bool:
+    """The literal definition on open-neighbourhood masks (``g.adj``) and a
+    member mask, shared by the references only.
 
     Closed mode: members need k-1 neighbours inside, non-members need k.
     Open mode: every vertex needs k neighbours inside.
     """
     for v, nv in enumerate(nbrs):
-        need = k - 1 if mode == "closed" and v in members else k
-        if len(nv & members) < need:
+        need = k - 1 if mode == "closed" and members >> v & 1 else k
+        if (nv & members).bit_count() < need:
             return False
     return True
 
@@ -115,9 +116,7 @@ def is_ktuple_dominating_by_cases(g: Graph, s: Iterable[int], k: int) -> bool:
     exhaustively on small graphs.
     """
     _check_k(k)
-    members = set(iter_bits(vertex_mask(g, s)))
-    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
-    return satisfies_by_cases(nbrs, members, k, "closed")
+    return satisfies_by_cases(g.adj, vertex_mask(g, s), k, "closed")
 
 
 def is_ktuple_total_dominating(g: Graph, s: Iterable[int], k: int) -> bool:
@@ -329,20 +328,20 @@ def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
 def gamma_oracle(g: Graph, k: int, mode: str = "closed") -> GammaResult:
     """Brute-force reference: subsets by increasing cardinality, first hit wins.
 
-    Independent of the branch-and-bound path: plain set arithmetic against
-    the literal case-split definition.  Hard error above the vertex cap.
+    Independent of the branch-and-bound path: the literal case-split
+    definition on neighbourhood masks, over the subsets of each size in
+    lexicographic order.  Hard error above the vertex cap.
     """
     check_degree_gate(g, k, mode)
     if g.n > ORACLE_VERTEX_CAP:
         raise OracleCapError(f"oracle refuses n={g.n} > cap={ORACLE_VERTEX_CAP}")
-    n = g.n
-    nbrs = [set(g.neighbors(v)) for v in range(n)]
+    bits = [1 << v for v in range(g.n)]
     checked = 0
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
+    for size in range(g.n + 1):
+        for combo in itertools.combinations(bits, size):
             checked += 1
-            if satisfies_by_cases(nbrs, set(combo), k, mode):
-                return GammaResult(size, combo, mode, k, checked)
+            if satisfies_by_cases(g.adj, sum(combo), k, mode):
+                return GammaResult(size, bit_list(sum(combo)), mode, k, checked)
     raise AssertionError("unreachable: the degree gate guarantees V itself is feasible")
 
 

@@ -237,8 +237,6 @@ def clique_chain(k: int) -> Graph:
 
 def gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), one Bernoulli draw per vertex pair in lex order."""
-    if n < 1:
-        raise ValueError("a graph needs at least one vertex")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)

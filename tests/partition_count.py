@@ -22,15 +22,10 @@ def partition_counts(g: Graph, k: int, mode: str, c: int) -> tuple[int, int]:
     dominating classes of the mode."""
     n = g.n
     size = 1 << n
-    nbrs = [set(g.neighbors(v)) for v in range(n)]
     # each polynomial is packed into an int, w bits per coefficient; below z^(n+1)
     # no coefficient of f^(c+1) exceeds comb((c+1)n, n), so none carries into the next
     w = comb((c + 1) * n, n).bit_length() + 1
-    half = n // 2
-    lows = [{v for v in range(half) if s >> v & 1} for s in range(1 << half)]
-    highs = [{v for v in range(half, n) if s >> (v - half) & 1} for s in range(size >> half)]
-    f = [1 << (len(s) * w) if satisfies_by_cases(nbrs, s, k, mode) else 0
-         for s in (low | high for high in highs for low in lows)]
+    f = [1 << (s.bit_count() * w) if satisfies_by_cases(g.adj, s, k, mode) else 0 for s in range(size)]
     for i in range(n):  # zeta transform: f[X] becomes f_X
         bit = 1 << i
         # add each X without bit i into X with it: strided slices while bit i is low,

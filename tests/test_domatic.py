@@ -464,7 +464,7 @@ class TestDomaticOracle:
         tested = []
 
         def spy(nbrs, members, k, mode):
-            tested.append(frozenset(members))
+            tested.append(members)
             return satisfies_by_cases(nbrs, members, k, mode)
 
         monkeypatch.setattr(domatic, "satisfies_by_cases", spy)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ktdom import (
     DegreeGateError,
     OracleCapError,
+    clique_chain,
     complete,
     complete_bipartite,
     compute_invariants,
@@ -30,9 +31,9 @@ from ktdom import (
     random_regular,
 )
 from ktdom import domination
-from ktdom.domination import ORACLE_VERTEX_CAP
+from ktdom.domination import ORACLE_VERTEX_CAP, satisfies_by_cases
 from ktdom.graphs import bit_list
-from strategies import all_graphs, graphs
+from strategies import all_graphs, graphs, sweep
 from test_domatic import within
 
 # value table derived from the brute-force oracle; every row is re-asserted
@@ -92,6 +93,24 @@ PINNED_SEARCHES = [
     (random_regular(24, 3, 3), "open", (9, 2665, (0, 1, 3, 5, 10, 14, 16, 19, 23))),
     (cycle(30), "open", (16, 209, (0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21, 24, 25, 26, 27))),
     (path(26), "open", (14, 47, (1, 2, 5, 6, 9, 10, 13, 14, 17, 18, 21, 22, 23, 24))),
+]
+
+
+# (graph, k, mode, (value, witness, nodes_explored)) of gamma_oracle: its first hit in
+# lexicographic order within each size, and the subsets it tested up to that hit
+PINNED_ORACLE = [
+    (path(5), 1, "closed", (2, (0, 3), 9)),
+    (path(5), 1, "open", (3, (1, 2, 3), 23)),
+    (cycle(7), 2, "closed", (5, (0, 1, 2, 4, 5), 103)),
+    (cycle(7), 2, "open", (7, (0, 1, 2, 3, 4, 5, 6), 128)),
+    (complete_bipartite(2, 3), 2, "closed", (3, (0, 1, 2), 17)),
+    (complete_bipartite(2, 3), 2, "open", (4, (0, 1, 2, 3), 27)),
+    (clique_chain(2), 2, "closed", (4, (0, 1, 4, 5), 103)),
+    (clique_chain(2), 2, "open", (4, (2, 3, 4, 5), 149)),
+    (gnp(8, 0.5, 3), 2, "closed", (5, (0, 1, 2, 4, 5), 168)),
+    (gnp(8, 0.5, 3), 2, "open", (6, (1, 2, 3, 5, 6, 7), 244)),
+    (gnp(9, 0.7, 19), 1, "closed", (1, (1,), 3)),
+    (gnp(9, 0.7, 19), 1, "open", (2, (0, 1), 11)),
 ]
 
 
@@ -165,6 +184,18 @@ class TestPredicates:
                 for s in subsets:
                     for k in (1, 2, 3):
                         assert is_ktuple_dominating(g, s, k) == is_ktuple_dominating_by_cases(g, s, k)
+
+    def test_mask_predicate_matches_the_definition_on_sets(self):
+        # the literal definition on plain sets, against the mask predicate on every subset
+        # of every labelled graph with n <= 5, k 1-3 and both modes
+        for g in sweep(5):
+            nbrs = [set(bit_list(a)) for a in g.adj]
+            for s in range(1 << g.n):
+                members = set(bit_list(s))
+                for k, mode in product((1, 2, 3), ("closed", "open")):
+                    by_sets = all(len(nv & members) >= (k - 1 if mode == "closed" and v in members else k)
+                                  for v, nv in enumerate(nbrs))
+                    assert satisfies_by_cases(g.adj, s, k, mode) == by_sets, (g.adj, s, k, mode)
 
     @given(graphs(max_n=7), st.data())
     def test_case_split_equivalence_random(self, g, data):
@@ -366,6 +397,11 @@ class TestOracle:
     def test_respects_gate(self):
         with pytest.raises(DegreeGateError):
             gamma_oracle(path(3), 2, "open")
+
+    @pytest.mark.parametrize("g, k, mode, expected", PINNED_ORACLE)
+    def test_pinned_witness_and_count(self, g, k, mode, expected):
+        result = gamma_oracle(g, k, mode)
+        assert (result.value, result.witness, result.nodes_explored) == expected
 
 
 class TestExactSizeScan:

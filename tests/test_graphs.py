@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -180,6 +182,8 @@ ARGUMENT_CHECKS = [
     ("complete(0)", lambda: complete(0), "complete graph needs at least one vertex"),
     ("path(0)", lambda: path(0), "path needs at least one vertex"),
     ("gnp(0, 0.5, 1)", lambda: gnp(0, 0.5, 1), "a graph needs at least one vertex"),
+    # gnp checks p itself and leaves n to Graph, which sees it only after the p check
+    ("gnp(0, 1.5, 1)", lambda: gnp(0, 1.5, 1), "edge probability must lie in [0, 1]"),
     ("random_regular(0, 0, 1)", lambda: random_regular(0, 0, 1), "a graph needs at least one vertex"),
     ("k_join(P2, P2, 0)", lambda: k_join(path(2), path(2), 0), "k must be a positive integer"),
     ("clique_chain(0)", lambda: clique_chain(0), "k must be a positive integer"),
@@ -194,7 +198,7 @@ ARGUMENT_CHECKS = [
 def test_argument_checks(call, outcome):
     """A call that a generator's checks refuse raises the ValueError named here; the rest return outcome."""
     if isinstance(outcome, str):
-        with pytest.raises(ValueError, match=f"^{outcome}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(outcome)}$"):
             call()
     else:
         assert call() is outcome
