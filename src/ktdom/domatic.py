@@ -10,6 +10,8 @@ count and a descending search can stop at the first feasible count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .domination import (
@@ -29,6 +31,8 @@ from .domination import (
 from .graphs import Graph, bit_list
 
 ORACLE_PARTITION_CAP = 10
+
+COVER_CAP = 20_000  # the most gamma-subsets listed for exact cover; above it the colouring search decides
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,14 +269,15 @@ def _minimum_set_rule(
 
     The family is explored once, at top, by first-hit searches for a
     minimum set avoiding a banned mask.  A greedy packing grows from the
-    witness, up to m sets; top <= n // gamma makes m <= top, with equality
-    only at slack 0 (top * gamma = n), where top packed sets partition V and
-    are returned as the classes.  Otherwise H takes the highest-degree
-    vertex (then the lowest id) of each packed set and of each minimum set
-    that still avoids it: m packed sets give |H| = m and refute nothing, and
+    witness, up to m sets; top <= n // gamma makes m = top - s at slack
+    s = n - top * gamma.  A full packing is a partition at slack 0, and at
+    slack 1 when the gamma + 1 vertices it leaves form a valid class; those
+    classes are returned.  Otherwise H takes the highest-degree vertex
+    (then the lowest id) of each packed set and of each minimum set that
+    still avoids it: m packed sets give |H| = m and refute nothing, and
     when no minimum set avoids H while |H| < m, every count above
     (n + |H|) // (gamma + 1) is refuted.  Returns the largest count left
-    open and the slack-0 classes or None.
+    open and the slack-0 or slack-1 classes or None.
     """
     size, n = gamma.value, g.n
     want = top * (size + 1) - n
@@ -286,8 +291,9 @@ def _minimum_set_rule(
             break
         packing.append(found)
         used |= found
-    if len(packing) == top:
-        return top, [bit_list(mask) for mask in packing]
+    rest = ((1 << n) - 1) ^ used  # empty at slack 0, gamma + 1 vertices at slack 1
+    if len(packing) == want and (not rest or top - want == 1 and _dominates(g.covers(mode), rest, k)):
+        return top, [bit_list(mask) for mask in packing + [rest] if mask]
 
     hit = 0
     while hit.bit_count() < want:
@@ -297,6 +303,81 @@ def _minimum_set_rule(
             return (n + hit.bit_count()) // (size + 1), None
         hit |= 1 << max(bit_list(found), key=g.deg.__getitem__)
     return top, None
+
+
+def _minimum_sets(g: Graph, k: int, mode: str, size: int) -> list[int] | None:
+    """Every k-tuple (total) dominating set of exactly size vertices as a
+    mask, in lexicographic order, or None when more than COVER_CAP subsets
+    would be tested.  Brute force over the size-subsets, each tested
+    against the smallest covers first, which reject soonest."""
+    if comb(g.n, size) > COVER_CAP:
+        return None
+    covers = sorted(g.covers(mode), key=int.bit_count)
+    bits = [1 << v for v in range(g.n)]
+    return [mask for mask in map(sum, combinations(bits, size)) if _dominates(covers, mask, k)]
+
+
+def _exact_cover(g: Graph, k: int, mode: str, num_classes: int, family: list[int]) -> list[tuple[int, ...]] | None:
+    """Partition V into num_classes classes built from the minimum sets and
+    return them as ascending vertex tuples, or return None when no such
+    partition exists.
+
+    family lists the minimum sets (_minimum_sets, gamma vertices each), and
+    the slack n - num_classes * gamma must be 0 or 1.  Every class has at
+    least gamma vertices, so at slack 0 the classes are num_classes disjoint
+    minimum sets, and at slack 1 they are num_classes - 1 of them plus one
+    valid class of gamma + 1 vertices, the rest.  The search is Algorithm X
+    (Knuth, Dancing Links): it places the unplaced vertex that lies in the
+    fewest candidate sets, those disjoint from everything placed, into each
+    of them in family order and then, while it has room, into the rest,
+    which is tested when it fills.  The candidates are a mask over family
+    indices, and each vertex holds the mask of the sets that contain it.
+    The search runs on an explicit stack, as its depth can reach
+    num_classes + gamma.
+    """
+    n = g.n
+    size = family[0].bit_count()
+    room = size + 1 if n - num_classes * size else 0  # the size of the rest
+    covers = g.covers(mode)
+    members = [bit_list(mask) for mask in family]
+    holders = [0] * n  # holders[v]: the indices of the sets containing v
+    for i, vertices in enumerate(members):
+        for v in vertices:
+            holders[v] |= 1 << i
+
+    # nodes (unplaced vertices, rest, candidate sets, placed sets as nested (mask, parent) pairs)
+    stack: list[tuple] = [((1 << n) - 1, 0, (1 << len(family)) - 1, None)]
+    while stack:
+        left, rest, alive, placed = stack.pop()
+        if not left:
+            if rest.bit_count() == room:
+                classes = [rest] if rest else []
+                while placed:
+                    mask, placed = placed
+                    classes.append(mask)
+                return [bit_list(mask) for mask in classes]
+            continue
+        fewest = len(family) + 1
+        for u in bit_list(left):
+            count = (holders[u] & alive).bit_count()
+            if count < fewest:
+                v, fewest = u, count
+                if not count:
+                    break
+        # pushed in reverse, so that the sets are popped in family order and the rest last
+        if rest.bit_count() < room:
+            grown = rest | 1 << v
+            if grown.bit_count() < room or _dominates(covers, grown, k):
+                stack.append((left ^ 1 << v, grown, alive & ~holders[v], placed))
+        options = holders[v] & alive
+        while options:
+            i = options.bit_length() - 1
+            options ^= 1 << i
+            clash = 0
+            for u in members[i]:
+                clash |= holders[u]
+            stack.append((left ^ family[i], rest, alive & ~clash, (family[i], placed)))
+    return None
 
 
 def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = None) -> DomaticResult:
@@ -310,9 +391,15 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     The minimum sets settle the top counts first (_minimum_set_rule): c
     classes on n vertices include at least m = c(gamma + 1) - n disjoint
     minimum sets, so a set H meeting every minimum set refutes each c with
-    m > |H|, since a packing is never larger than a cover.  The rule gives
-    a witness only at a slack-0 ceiling (ceiling * gamma = n): a packing of
-    that many minimum sets, and the colouring search is skipped.
+    m > |H|, since a packing is never larger than a cover.  At a ceiling of
+    slack 0 or 1 (n - ceiling * gamma), a greedy packing of m minimum sets
+    plus, at slack 1, the valid class of the gamma + 1 vertices it leaves
+    is the witness.  Below the rule, each count c >= 3 at slack <= 1 is
+    decided by exact cover over the minimum sets (_exact_cover), which
+    finds a partition or proves that none exists; the minimum sets are
+    listed once, by brute force over the gamma-subsets, and a count whose
+    listing would test more than COVER_CAP subsets stays with the colouring
+    search, as do two-class counts and every count at slack 2 or more.
 
     ``gamma`` may pass a precomputed gamma_xk(g, k, mode) result to avoid a
     second minimum solve; a result for another k or mode is a ValueError.
@@ -321,9 +408,17 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     if gamma is None:
         gamma = gamma_xk(g, k, mode)
     bounds = _search_bounds(g, k, mode, gamma)
+    size = gamma.value
     count, classes = _minimum_set_rule(g, k, mode, bounds.ceiling, gamma)
+    family = None  # the minimum sets, listed at the first count that exact cover may decide
     while classes is None and count > 1:
-        classes = _find_partition(g, k, mode, count, gamma.value)
+        cover = count > 2 and g.n - count * size <= 1
+        if cover and family is None:
+            family = _minimum_sets(g, k, mode, size)
+        if cover and family is not None:
+            classes = _exact_cover(g, k, mode, count, family)
+        else:
+            classes = _find_partition(g, k, mode, count, size)
         if classes is None:
             count -= 1
     if classes is None:  # no count of 2 or more is feasible

@@ -85,7 +85,10 @@ def vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
 
 def _dominates(covers: Iterable[int], mask: int, k: int) -> bool:
     """The uniform test: every cover meets the vertex mask in at least k vertices."""
-    return all((c & mask).bit_count() >= k for c in covers)
+    for c in covers:  # a loop, not all() over a generator, which costs twice as much per rejected mask
+        if (c & mask).bit_count() < k:
+            return False
+    return True
 
 
 def is_ktuple_dominating(g: Graph, s: Iterable[int], k: int) -> bool:

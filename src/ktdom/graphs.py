@@ -101,9 +101,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.cover_lists("open")[v]
-
     def covers(self, mode: str) -> tuple[int, ...]:
         """Per-vertex cover masks: N[v] in closed mode, N(v) in open mode."""
         return self.closed if mode == "closed" else self.adj

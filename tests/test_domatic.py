@@ -316,17 +316,22 @@ class TestFailFirstSearch:
     # tried: a change to the order in which the search visits its nodes moves them
     @pytest.mark.parametrize("g, k, mode, classes", [
         (gnp(16, 0.8, 7), 2, "closed", ((0, 1, 12, 14), (2, 3, 5), (4, 13, 15), (6, 7, 10), (8, 9, 11))),  # 466
-        (gnp(16, 0.8, 7), 2, "open", ((0, 2, 15), (1, 7, 8, 10), (3, 4, 5), (6, 12, 14), (9, 11, 13))),  # 628
         (gnp(14, 0.9, 7), 2, "closed", ((0, 2), (1, 7, 9), (3, 5), (4, 6, 11), (8, 10), (12, 13))),  # 511
         (gnp(14, 0.8, 7), 2, "closed", ((0, 1, 2), (3, 8), (4, 5, 9), (6, 10, 12), (7, 11, 13))),  # 223
         (gnp(20, 0.7, 7), 2, "open",
          ((0, 1, 2, 17), (3, 6, 7), (4, 14, 15, 18), (5, 11, 12, 16, 19), (8, 9, 10, 13))),  # 132
-    ], ids=["gnp(16,0.8,7)-closed", "gnp(16,0.8,7)-open", "gnp(14,0.9,7)-closed", "gnp(14,0.8,7)-closed",
-            "gnp(20,0.7,7)-open"])
+    ], ids=["gnp(16,0.8,7)-closed", "gnp(14,0.9,7)-closed", "gnp(14,0.8,7)-closed", "gnp(20,0.7,7)-open"])
     def test_frozen_backtracking_witness(self, g, k, mode, classes):
         res = d_xk(g, k, mode)
         assert res.witness.classes == classes
         assert is_domatic_partition(g, res.witness)
+
+    def test_frozen_colouring_witness(self):
+        # 5 classes at slack 1, which exact cover decides inside d_xk, so the colouring is called directly
+        g = gnp(16, 0.8, 7)
+        p = domatic._partition(domatic._find_partition(g, 2, "open", 5, 3), 2, "open")
+        assert p.classes == ((0, 2, 15), (1, 7, 8, 10), (3, 4, 5), (6, 12, 14), (9, 11, 13))  # 628
+        assert is_domatic_partition(g, p)
 
     def test_search_depth_is_not_bounded_by_recursion(self):
         # 60 vertices are coloured one below the other on an explicit stack
@@ -378,6 +383,13 @@ class TestMinimumSetRule:
         assert (left, top) == (3, 3)
         assert d_xk(cycle(6), 1).witness.classes == packing.classes == ((0, 3), (1, 4), (2, 5))
 
+    def test_slack_one_packing_and_its_rest_are_the_witness(self):
+        # K7 at k = 2: gamma = 2 and three classes at slack 1, so two disjoint pairs and the
+        # three vertices they leave, which pass the test, are the partition
+        left, packing, top = minimum_set_rule(complete(7), 2, "closed")
+        assert (left, top) == (3, 3)
+        assert d_xk(complete(7), 2).witness.classes == packing.classes == ((0, 1), (2, 3), (4, 5, 6))
+
     @pytest.mark.parametrize("mode", ["closed", "open"])
     def test_one_class_is_never_a_packing(self, mode):
         # P4 at k = 1 has gamma = 2 < 4, so gamma's witness alone covers only part of V: at
@@ -398,13 +410,18 @@ class TestMinimumSetRule:
 
     @given(graphs(max_n=8), st.integers(1, 2), st.sampled_from(["closed", "open"]))
     @settings(max_examples=300, deadline=None)
+    @example(complete(7), 2, "closed")  # a slack-1 exit
     def test_refuted_counts_lie_above_the_oracle(self, g, k, mode):
         if gated(g, k, mode):
             return
         left, packing, top = minimum_set_rule(g, k, mode)
         assert d_oracle(g, k, mode).value <= left <= top
         if packing is not None:
-            assert len(packing.classes) == top
+            # slack 0: top minimum sets; slack 1: top - 1 of them and one valid class of gamma + 1
+            size = gamma_xk(g, k, mode).value
+            slack = g.n - top * size
+            assert slack <= 1
+            assert sorted(map(len, packing.classes)) == [size] * (top - slack) + [size + 1] * slack
             assert is_domatic_partition(g, packing)
 
     @pytest.mark.parametrize("n", [11, 12, 13, 14])
@@ -419,6 +436,111 @@ class TestMinimumSetRule:
                         left, _, top = minimum_set_rule(g, k, mode)
                         for c in range(left + 1, top + 1, 2):
                             assert partition_counts(g, k, mode, c) == (0, 0), (seed, k, mode, c)
+
+
+def cover_counts(g, k, mode):
+    """The counts that exact cover decides, c >= 3 at slack n - c * gamma <= 1, with the
+    minimum sets and the cover's classes at each: [(c, family, classes or None)]."""
+    size = gamma_xk(g, k, mode).value
+    family = domatic._minimum_sets(g, k, mode, size)
+    counts = [c for c in range(3, g.n // size + 1) if g.n - c * size <= 1]
+    return [(c, family, domatic._exact_cover(g, k, mode, c, family)) for c in counts]
+
+
+def assert_cover_partition(g, k, mode, c, family, classes):
+    """A cover's classes: c of them, each passing the literal test, every class but at most
+    one of them a minimum set, and a partition of V."""
+    p = domatic._partition(classes, k, mode)
+    assert len(p.classes) == c
+    assert all(satisfies_by_cases(g.adj, sum(1 << v for v in cls), k, mode) for cls in p.classes)
+    assert sum(sum(1 << v for v in cls) not in family for cls in p.classes) <= 1
+    assert is_domatic_partition(g, p)
+
+
+class TestExactCover:
+    """d_xk decides each count c >= 3 at slack <= 1 by exact cover over the minimum sets."""
+
+    # n = 11-16; each call of partition_counts counts c and c + 1
+    @pytest.mark.parametrize("n, p", [(11, 0.9), (12, 0.9), (13, 0.9), (14, 0.9), (15, 0.7), (16, 0.5)])
+    def test_matches_partition_count(self, n, p):
+        g = gnp(n, p, 1)
+        decided = 0
+        for k in (1, 2):
+            for mode in ("closed", "open"):
+                if gated(g, k, mode):
+                    continue
+                for c, family, classes in cover_counts(g, k, mode):
+                    assert (classes is not None) == (partition_counts(g, k, mode, c)[0] > 0), (k, mode, c)
+                    if classes is not None:
+                        assert_cover_partition(g, k, mode, c, family, classes)
+                    decided += 1
+        assert decided
+
+    @given(graphs(max_n=8), st.integers(1, 2), st.sampled_from(["closed", "open"]))
+    @settings(max_examples=300, deadline=None)
+    @example(complete(7), 2, "closed")  # slack 1 at three classes
+    def test_matches_the_oracle(self, g, k, mode):
+        if gated(g, k, mode):
+            return
+        d = d_oracle(g, k, mode).value
+        for c, family, classes in cover_counts(g, k, mode):
+            assert (classes is not None) == (c <= d), c
+            if classes is not None:
+                assert_cover_partition(g, k, mode, c, family, classes)
+
+    # rows the colouring search took seconds or more on, or did not finish in 60 s
+    @pytest.mark.parametrize("g, k, mode, expected", [
+        (gnp(28, 0.8, 2), 1, "open", 14),
+        (gnp(28, 0.8, 7), 2, "closed", 9),
+        (gnp(36, 0.9, 4), 2, "open", 12),
+        (gnp(40, 0.85, 1), 2, "open", 13),
+        (gnp(36, 0.85, 2), 2, "closed", 12),
+    ], ids=["gnp(28,0.8,2)-open", "gnp(28,0.8,7)-closed", "gnp(36,0.9,4)-open", "gnp(40,0.85,1)-open",
+            "gnp(36,0.85,2)-closed"])
+    def test_stalls_are_decided(self, g, k, mode, expected):
+        res = within(2, lambda: d_xk(g, k, mode), f"d_xk on {g.n} vertices, k={k}, {mode}")
+        assert res.value == expected
+        assert is_domatic_partition(g, res.witness)
+
+    def test_frozen_witness(self):
+        # 5 classes at slack 1: the greedy packing leaves an invalid rest, and the cover finds 4
+        # minimum sets plus a valid class of 4; a change to the cover's order moves the witness
+        g = gnp(16, 0.8, 7)
+        res = d_xk(g, 2, "open")
+        assert res.witness.classes == ((0, 7, 10), (1, 12, 14, 15), (2, 4, 8), (3, 5, 6), (9, 11, 13))
+        assert is_domatic_partition(g, res.witness)
+
+    def test_listing_above_the_cap_is_refused(self):
+        # C30 at k = 1 has gamma = 10, and there are comb(30, 10) = 30,045,015 such subsets
+        assert domatic._minimum_sets(cycle(30), 1, "closed", 10) is None
+        assert domatic._minimum_sets(cycle(30), 1, "closed", 2) is not None
+
+    # the minimum-set rule is switched off, so that the descent starts at the ceiling
+    @pytest.mark.parametrize("g, k, cap, coloured", [
+        (complete(7), 2, domatic.COVER_CAP, []),  # 3 classes at slack 1 go to exact cover
+        (complete(7), 2, 20, [3]),  # but not when comb(7, 2) = 21 pairs exceed the cap
+        (cycle(4), 1, domatic.COVER_CAP, [2]),  # 2 classes at slack 0 stay with the colouring
+    ], ids=["cover", "above-the-cap", "two-classes"])
+    def test_counts_the_colouring_decides(self, g, k, cap, coloured, monkeypatch):
+        monkeypatch.setattr(domatic, "_minimum_set_rule", lambda g, k, mode, top, gamma: (top, None))
+        monkeypatch.setattr(domatic, "COVER_CAP", cap)
+        searched = []
+        colouring = domatic._find_partition
+        monkeypatch.setattr(domatic, "_find_partition", lambda *args: searched.append(args[3]) or colouring(*args))
+        assert d_xk(g, k).value == d_oracle(g, k).value
+        assert searched == coloured
+
+    def test_search_depth_is_not_bounded_by_recursion(self):
+        # 30 pairs of the complement of C60 are placed one below the other on an explicit stack
+        g = complement(cycle(60))
+        family = domatic._minimum_sets(g, 1, "closed", 2)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 20)
+        try:
+            classes = domatic._exact_cover(g, 1, "closed", 30, family)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert_cover_partition(g, 1, "closed", 30, family, classes)
 
 
 class TestDomaticOracle:

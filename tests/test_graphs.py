@@ -45,7 +45,6 @@ class TestGraph:
         g = Graph(4, [(0, 2), (2, 3)])
         assert g.has_edge(2, 0) and g.has_edge(0, 2)
         assert not g.has_edge(0, 1)
-        assert g.neighbors(2) == (0, 3)
 
     def test_parallel_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
