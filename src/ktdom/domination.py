@@ -249,13 +249,16 @@ def _smaller_set(
                 while not level[worst]:
                     worst -= 1
                 if count + worst < bound:
-                    # most >= 1: every demanding vertex has an undecided vertex covering it
-                    most = 0
+                    # the counting bound count + ceil(total / most) < bound, most the largest hit
+                    # of an undecided vertex, holds once some hit reaches need; bound - count - 1
+                    # >= worst >= 1, and every demanding vertex has an undecided vertex covering it
+                    need = -(-total // (bound - count - 1))
                     for i in range(depth, last):
-                        hit = (ordered_covers[i] & needy).bit_count()
-                        if hit > most:
-                            most = hit
-                    if count - (-total // most) < bound:
+                        if (ordered_covers[i] & needy).bit_count() >= need:
+                            break
+                    else:
+                        need = 0
+                    if need:
                         v = order[depth]
                         for u in cover_bits[v]:
                             d = demand[u]
@@ -358,16 +361,24 @@ def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | No
 
     These conditions say exactly that T is a k-tuple dominating set of
     cardinality t, so the smallest feasible t is the k-tuple domination
-    number.  The search is an id-order scan independent of gamma_xk.
+    number.  The search is independent of gamma_xk and branches fail-first:
+    at each node it picks the demanding vertex w of least slack (its
+    undecided closed neighbours minus its demand, ties to the lower id) and
+    branches on each undecided u in N[w] in id order, taking u and leaving
+    out the candidates tried before it.  Three rules prune a node: a
+    negative slack; a demand above the r vertices still to take (or fewer
+    than r undecided vertices); and the counting bound, which asks some
+    undecided vertex to cover at least ceil(D / r) demanding vertices, D
+    the summed demand.  Once every demand is met, the lowest-id undecided
+    vertices make up the size: a superset of a block is a block.
 
     Its node state is kept up to date on each take and undo, as in
     _smaller_set, instead of recounted over all n vertices: each vertex's
-    slack (its undecided closed neighbours minus its demand), the number of
-    negative slacks, and the number of vertices at each demand level 1..k.
-    Taking v costs each of v's closed neighbours one demand and one
-    undecided neighbour, so no slack changes; an undo gives the positions
-    left out since the popped one back to their neighbours' slack and takes
-    one from the popped vertex's neighbours.
+    slack, the number of negative slacks, the summed positive demand, the
+    number of vertices at each demand level 1..k and the demanding mask.
+    Taking u costs each of u's closed neighbours one demand and one
+    undecided neighbour, so no slack changes; leaving u out costs each of
+    them one slack.
     """
     check_degree_gate(g, k, "closed")
     if t < k - 1:
@@ -375,49 +386,93 @@ def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | No
     if t > g.n:
         raise ValueError(f"t={t} exceeds the vertex count {g.n}")
     n = g.n
+    covers = g.closed
     cover_bits = g.cover_lists("closed")
     slack = [len(bits) - k for bits in cover_bits]
     short = 0  # negative slacks, each of which prunes; the degree gate leaves none at the root
     demand = [k] * n
     level = [0] * k + [n]  # level[d]: vertices of demand d, for d = 1..k; level[0] is never read
-    # Id-order branching, taking a vertex before leaving it out.  Leaving out
-    # is a node's last branch, so the stack holds only the vertices taken.
-    taken: list[int] = []  # ascending
-    pos = 0
+    total = k * n  # summed positive demand
+    needy = (1 << n) - 1  # the vertices of positive demand
+    free = (1 << n) - 1  # the undecided vertices
+    chosen = 0
+    # One frame per branching node: its candidates and the index of the one
+    # taken now; the candidates before it are left out.
+    frames: list[list] = []
+    u = -1  # the vertex to take next, or -1 at a dead end
     while True:
-        remaining = t - len(taken)
-        if remaining == 0:
-            if not any(level[1:]):
-                return tuple(taken)
-        # prune when some demand exceeds the vertices still to take or the undecided ones
-        elif n - pos >= remaining and not short and not any(level[remaining + 1 :]):
-            for u in cover_bits[pos]:
-                d = demand[u]
-                demand[u] = d - 1
-                if d > 0:
-                    level[d] -= 1
-                    level[d - 1] += 1
-            taken.append(pos)
-            pos += 1
-            continue
-        # a dead end: leave out the last vertex taken instead
-        if not taken:
-            return None
-        v = taken.pop()
-        for w in range(v + 1, pos):
-            for u in cover_bits[w]:
-                s = slack[u] + 1
-                slack[u] = s
-                if not s:
-                    short -= 1
-        for u in cover_bits[v]:
-            s = slack[u]
-            slack[u] = s - 1
-            if not s:
-                short += 1
-            d = demand[u] + 1
-            demand[u] = d
+        remaining = t - chosen.bit_count()
+        if not short and free.bit_count() >= remaining:
+            if not total:
+                # every demand is met: the lowest-id undecided vertices make up the size
+                for _ in range(remaining):
+                    low = free & -free
+                    chosen |= low
+                    free ^= low
+                return bit_list(chosen)
+            # some demand is positive, so remaining >= 1 unless this prunes
+            if not any(level[remaining + 1 :]):
+                need = -(-total // remaining)
+                if need > 1:
+                    # the counting bound: some undecided vertex must cover need demanding ones
+                    for v in range(n):
+                        if free >> v & 1 and (covers[v] & needy).bit_count() >= need:
+                            break
+                    else:
+                        need = 0
+                if need:
+                    w = least = -1
+                    for v in range(n):
+                        if needy >> v & 1 and (w < 0 or slack[v] < least):
+                            w, least = v, slack[v]
+                    cands = [v for v in cover_bits[w] if free >> v & 1]
+                    frames.append([cands, 0])
+                    u = cands[0]  # w's slack >= 0 leaves it at least its demand of candidates
+        if u < 0:
+            # a dead end: leave out the candidate taken last and take its next sibling
+            while frames:
+                frame = frames[-1]
+                cands, i = frame
+                v = cands[i]
+                chosen ^= 1 << v
+                for x in cover_bits[v]:
+                    d = demand[x] + 1
+                    demand[x] = d
+                    if d > 0:
+                        total += 1
+                        level[d] += 1
+                        level[d - 1] -= 1
+                        if d == 1:
+                            needy |= 1 << x
+                    s = slack[x]
+                    slack[x] = s - 1
+                    if not s:
+                        short += 1
+                i += 1
+                if i < len(cands) and not short:
+                    frame[1] = i
+                    u = cands[i]
+                    break
+                # every candidate left out, or too many: they are undecided again
+                for v in cands[:i]:
+                    free |= 1 << v
+                    for x in cover_bits[v]:
+                        s = slack[x] + 1
+                        slack[x] = s
+                        if not s:
+                            short -= 1
+                frames.pop()
+            else:
+                return None
+        chosen |= 1 << u
+        free ^= 1 << u
+        for x in cover_bits[u]:
+            d = demand[x]
+            demand[x] = d - 1
             if d > 0:
-                level[d] += 1
-                level[d - 1] -= 1
-        pos = v + 1
+                total -= 1
+                level[d] -= 1
+                level[d - 1] += 1
+                if d == 1:
+                    needy ^= 1 << x
+        u = -1

@@ -74,7 +74,8 @@ def _beyond_hypothesis(cycles_and_paths, regular, unions, dense, mode):
 
 CLOSED_BEYOND = _beyond_hypothesis(
     (17, 20, 24), [(16, 1), (20, 2), (22, 3)], [(6, 0), (0, 5), (4, 3)],
-    [(18, 0.3, 1), (20, 0.25, 2), (22, 0.2, 3), (24, 0.3, 4), (24, 0.2, 5)], "closed",
+    [(18, 0.3, 1), (20, 0.25, 2), (22, 0.2, 3), (24, 0.3, 4), (24, 0.2, 5),
+     (13, 0.5, 1), (14, 0.7, 2), (15, 0.9, 1), (16, 0.5, 2), (16, 0.9, 2)], "closed",
 )
 OPEN_BEYOND = _beyond_hypothesis(
     (12, 14), [(12, 1), (14, 2)], [(4, 0), (0, 3), (2, 2)],
@@ -119,7 +120,23 @@ def _lowest(first, last):
     return [tuple(range(t)) for t in range(first, last + 1)]
 
 
-# (graph, k, the exact-size scan's answer at each t from k - 1 to n)
+def block_sizes_by_sets(g, k):
+    """Every t with a k-tuple dominating set of exactly t vertices, by the literal
+    definition on plain sets over all subsets: members need k - 1 neighbours inside,
+    non-members k."""
+    nbrs = [set(bit_list(a)) for a in g.adj]
+    sizes = set()
+    for size in range(g.n + 1):
+        for combo in combinations(range(g.n), size):
+            members = set(combo)
+            if all(len(nv & members) >= (k - 1 if v in members else k) for v, nv in enumerate(nbrs)):
+                sizes.add(size)
+                break
+    return sizes
+
+
+# (graph, k, the exact-size scan's answer at each t from k - 1 to n); at t >= gamma
+# the witness is the fail-first search's first block, padded with the lowest ids
 PINNED_SCANS = [
     pytest.param(
         cycle(13), 1,
@@ -129,7 +146,7 @@ PINNED_SCANS = [
         + _lowest(11, 13),
         id="C13 k=1",
     ),
-    pytest.param(gnp(12, 0.6, 3), 1, [None, None, (0, 4), (0, 1, 4)] + _lowest(4, 12), id="gnp(12,0.6,3) k=1"),
+    pytest.param(gnp(12, 0.6, 3), 1, [None, None, (0, 4), (0, 3, 4)] + _lowest(4, 12), id="gnp(12,0.6,3) k=1"),
     pytest.param(gnp(12, 0.6, 3), 2, [None] * 3 + [(0, 2, 4, 10)] + _lowest(5, 12), id="gnp(12,0.6,3) k=2"),
 ]
 
@@ -426,21 +443,56 @@ class TestExactSizeScan:
             sys.setrecursionlimit(limit)
         assert found == tuple(range(50))
 
-    def test_negative_slack_prune_settles_a_sparse_probe(self):
-        # C26 at k = 2 has gamma = 18; the probe at 17 takes about 16 ms, and about 13 s
-        # without the prune on a vertex that too few undecided neighbours can still serve
-        found = within(1, lambda: kjoin_decomposition_exists(cycle(26), 2, 17), "scan of C26 at k = 2, t = 17")
+    def test_counting_bound_settles_sparse_probes(self):
+        # C40 at k = 1 has gamma = 14: 13 vertices cover at most 39 of the 40 demands, so
+        # the counting bound refutes the probe at 13 at its root; without the bound, and
+        # in id order, the probe ran past 3 s.  C26 at k = 2 (gamma = 18) is refuted the same way
+        found = within(0.2, lambda: [kjoin_decomposition_exists(cycle(40), 1, 13),
+                                     kjoin_decomposition_exists(cycle(26), 2, 17)],
+                       "scans of C40 at k = 1, t = 13 and C26 at k = 2, t = 17")
+        assert found == [None, None]
+
+    def test_fail_first_branching_settles_a_sparse_probe(self):
+        # gamma_xk gives gamma = 22 for gnp(36, 0.15, 1) at k = 3; the probe at 21 takes
+        # about 3 ms, branching on the demanding vertex of least slack, against 0.56 s
+        # branching on the lowest-id demanding vertex and 0.9 s taking or leaving in id order
+        g = gnp(36, 0.15, 1)
+        found = within(0.2, lambda: kjoin_decomposition_exists(g, 3, 21), "scan of gnp(36, 0.15, 1) at k = 3, t = 21")
         assert found is None
+        assert kjoin_decomposition_exists(g, 3, 22) is not None
 
     def test_remaining_prune_settles_dense_probes(self):
         # the probes at gamma - 1 that C11 makes on a dense graph within its scan cap take
-        # under a millisecond in all, and about 0.23 s without the prune on a vertex whose
-        # demand exceeds the vertices still to take
+        # under a millisecond in all; either the prune on a vertex whose demand exceeds the
+        # vertices still to take or the counting bound settles them, and they take about
+        # 0.1 s with neither
         g = gnp(16, 0.9, 1)
         probes = [(k, gamma_xk(g, k).value - 1) for k in range(5, 12)]
         found = within(0.025, lambda: [kjoin_decomposition_exists(g, k, t) for k, t in probes],
                        "scans of gnp(16, 0.9, 1) at gamma - 1")
         assert found == [None] * len(probes)
+
+    def test_remaining_prune_settles_a_dense_probe(self):
+        # gnp(40, 0.8, 1) at k = 5 has a block of 7 vertices and none of 6; the probe at 6
+        # takes about 14 ms, and about 1 s without the prune on a vertex whose demand
+        # exceeds the vertices still to take
+        g = gnp(40, 0.8, 1)
+        found = within(0.3, lambda: kjoin_decomposition_exists(g, 5, 6), "scan of gnp(40, 0.8, 1) at k = 5, t = 6")
+        assert found is None
+        assert kjoin_decomposition_exists(g, 5, 7) is not None
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_every_size_against_sets(self, n):
+        # the answer at every t against all subsets, on seeded G(n, p) at k = 1-3
+        for p, seed in product((0.3, 0.5, 0.7, 0.9), (1, 2)):
+            g = gnp(n, p, seed)
+            for k in range(1, min(3, g.min_degree + 1) + 1):
+                sizes = block_sizes_by_sets(g, k)
+                for t in range(k - 1, n + 1):
+                    found = kjoin_decomposition_exists(g, k, t)
+                    assert (found is not None) == (t in sizes), (n, p, seed, k, t)
+                    if found is not None:
+                        assert len(set(found)) == t and is_ktuple_dominating(g, found, k)
 
     def test_size_bounds_validated(self):
         with pytest.raises(ValueError, match="at least"):
