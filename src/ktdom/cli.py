@@ -19,7 +19,6 @@ import csv
 import io
 import itertools
 import json
-import os
 import sys
 import warnings
 from collections import Counter
@@ -76,9 +75,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except BrokenPipeError:
-        # the reader closed the pipe early (`| head`): stop quietly, and send what is
-        # still buffered to devnull so the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed the pipe early (`| head`): stop quietly; the failed write
+        # leaves nothing buffered, so the flush at exit has nothing to send
         return 0
     except (ValueError, OSError, PairingFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,8 +20,8 @@ from .domination import (
     _check_k,
     _check_mode,
     _dominates,
+    _first_set,
     _Record,
-    _smaller_set,
     check_degree_gate,
     gamma_oracle,
     gamma_xk,
@@ -267,10 +267,11 @@ def _minimum_set_rule(
     pairwise disjoint.  A set H that meets every minimum set bounds such a
     packing by |H| (nu <= tau), so each c with m > |H| is infeasible.
 
-    The family is explored once, at top, by first-hit searches for a
-    minimum set avoiding a banned mask.  A greedy packing grows from the
-    witness, up to m sets; top <= n // gamma makes m = top - s at slack
-    s = n - top * gamma.  A full packing is a partition at slack 0, and at
+    The family is explored once, at top, by searches for a minimum set
+    avoiding a banned mask: _first_set at size gamma, the fail-first search
+    that C11's exact-size probe runs, which returns the first such set it
+    meets.  A greedy packing grows from the witness, up to m sets;
+    top <= n // gamma makes m = top - s at slack s = n - top * gamma.  A full packing is a partition at slack 0, and at
     slack 1 when the gamma + 1 vertices it leaves form a valid class; those
     classes are returned.  Otherwise H takes the highest-degree vertex
     (then the lowest id) of each packed set and of each minimum set that
@@ -286,7 +287,7 @@ def _minimum_set_rule(
     packing = [vertex_mask(g, gamma.witness)]
     used = packing[0]
     while len(packing) < want:
-        found = _smaller_set(g, k, mode, size + 1, used, True)[0]
+        found = _first_set(g, k, mode, size, used)
         if found is None:
             break
         packing.append(found)
@@ -298,7 +299,7 @@ def _minimum_set_rule(
     hit = 0
     while hit.bit_count() < want:
         # the packed sets first: disjoint, so each adds a vertex
-        found = packing.pop() if packing else _smaller_set(g, k, mode, size + 1, hit, True)[0]
+        found = packing.pop() if packing else _first_set(g, k, mode, size, hit)
         if found is None:
             return (n + hit.bit_count()) // (size + 1), None
         hit |= 1 << max(bit_list(found), key=g.deg.__getitem__)

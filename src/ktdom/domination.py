@@ -192,15 +192,13 @@ def _greedy_upper(g: Graph, k: int, mode: str) -> int:
     return chosen
 
 
-def _smaller_set(
-    g: Graph, k: int, mode: str, bound: int, banned: int = 0, first: bool = False
-) -> tuple[int | None, int]:
+def _smaller_set(g: Graph, k: int, mode: str, bound: int) -> tuple[int | None, int]:
     """Branch and bound for a k-tuple (total) dominating set of fewer than
-    ``bound`` vertices that avoids the ``banned`` mask, with gamma_xk's rules.
+    ``bound`` vertices, with gamma_xk's rules.
 
     Returns the smallest such set's mask, or None, and the number of nodes
-    explored; every set found lowers the bound.  With ``first`` the search
-    returns the first set it meets.  The vertices are taken in id order.
+    explored; every set found lowers the bound.  The vertices are taken in
+    id order.
 
     The node state is kept up to date on each take and undo instead of
     recounted over all n vertices: each vertex's slack (its undecided cover
@@ -209,7 +207,7 @@ def _smaller_set(
     the mask of the vertices still demanding.  Covers are symmetric, so
     taking v costs every u in v's cover one demand and one undecided cover
     vertex, and no slack changes.  Only a backtrack moves slack: the
-    positions left out since the popped one are undecided again, which
+    vertices left out since the popped one are undecided again, which
     gives each vertex of their covers one slack back, and the popped vertex
     is left out, which gives its cover its demand back but not the vertex,
     so each vertex of that cover loses one.
@@ -217,12 +215,8 @@ def _smaller_set(
     covers = g.covers(mode)
     cover_bits = g.cover_lists(mode)
     n = g.n
-    order = [v for v in range(n) if not banned >> v & 1]
-    last = len(order)
-    ordered_covers = [covers[v] for v in order]
-    free = ((1 << n) - 1) & ~banned
-    slack = [(c & free).bit_count() - k for c in covers]
-    short = sum(1 for s in slack if s < 0)  # a negative slack prunes the node
+    slack = [len(bits) - k for bits in cover_bits]
+    short = 0  # negative slacks, each of which prunes; gamma_xk's degree gate leaves none at the root
     demand = [k] * n
     level = [0] * k + [n]  # level[d]: vertices of demand d, for d = 1..k; level[0] is never read
     total = k * n  # summed positive demand
@@ -231,10 +225,10 @@ def _smaller_set(
     best_mask = None
     nodes = 0
     # Leaving a vertex out is a node's last branch, so the stack holds only
-    # the depths at which a vertex was taken.
+    # the vertices taken.
     taken: list[int] = []  # ascending
     chosen = 0
-    depth = 0
+    depth = 0  # the next vertex to decide
     while True:
         nodes += 1
         if not short:
@@ -242,8 +236,6 @@ def _smaller_set(
             if not total:
                 if count < bound:
                     bound, best_mask = count, chosen
-                    if first:
-                        return best_mask, nodes
             else:
                 worst = k
                 while not level[worst]:
@@ -253,13 +245,13 @@ def _smaller_set(
                     # of an undecided vertex, holds once some hit reaches need; bound - count - 1
                     # >= worst >= 1, and every demanding vertex has an undecided vertex covering it
                     need = -(-total // (bound - count - 1))
-                    for i in range(depth, last):
-                        if (ordered_covers[i] & needy).bit_count() >= need:
+                    for i in range(depth, n):
+                        if (covers[i] & needy).bit_count() >= need:
                             break
                     else:
                         need = 0
                     if need:
-                        v = order[depth]
+                        v = depth
                         for u in cover_bits[v]:
                             d = demand[u]
                             demand[u] = d - 1
@@ -270,20 +262,19 @@ def _smaller_set(
                                 if d == 1:
                                     needy ^= 1 << u
                         chosen |= 1 << v
-                        taken.append(depth)
+                        taken.append(v)
                         depth += 1
                         continue
         # a dead end: leave out the last vertex taken instead
         if not taken:
             return best_mask, nodes
-        top = taken.pop()
-        for i in range(top + 1, depth):
-            for u in cover_bits[order[i]]:
+        v = taken.pop()
+        for i in range(v + 1, depth):
+            for u in cover_bits[i]:
                 s = slack[u] + 1
                 slack[u] = s
                 if not s:
                     short -= 1
-        v = order[top]
         for u in cover_bits[v]:
             s = slack[u]
             slack[u] = s - 1
@@ -298,7 +289,7 @@ def _smaller_set(
                 if d == 1:
                     needy |= 1 << u
         chosen ^= 1 << v
-        depth = top + 1
+        depth = v + 1
 
 
 def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
@@ -314,8 +305,8 @@ def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
     bound gamma >= ceil(kn / (Delta + 1)) applied to the residual instance).
     The incumbent starts from a greedy pass, so the reported value is exact
     even when the greedy set is already optimal.  The search, _smaller_set,
-    is shared with d_xk's minimum-set rule; it runs on an explicit stack of
-    the vertices taken, so its depth is not bounded by the recursion limit.
+    serves gamma_xk alone; it runs on an explicit stack of the vertices
+    taken, so its depth is not bounded by the recursion limit.
     A node costs what its move touches, not O(n): the search keeps each
     vertex's slack (undecided cover vertices minus demand), the number of
     negative slacks, the summed positive demand, the count at each demand
@@ -355,46 +346,43 @@ def gamma_oracle(g: Graph, k: int, mode: str = "closed") -> GammaResult:
 # exact-size decomposition
 
 
-def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | None:
-    """Witness T with |T| = t, min degree of G[T] >= k-1, and every outside
-    vertex having >= k neighbours in T; None when no such T exists.
+def _first_set(g: Graph, k: int, mode: str, t: int, banned: int = 0) -> int | None:
+    """The mask of the first k-tuple (total) dominating set of exactly t
+    vertices avoiding the banned mask that the search meets, or None when
+    there is none.
 
-    These conditions say exactly that T is a k-tuple dominating set of
-    cardinality t, so the smallest feasible t is the k-tuple domination
-    number.  The search is independent of gamma_xk and branches fail-first:
-    at each node it picks the demanding vertex w of least slack (its
-    undecided closed neighbours minus its demand, ties to the lower id) and
-    branches on each undecided u in N[w] in id order, taking u and leaving
-    out the candidates tried before it.  Three rules prune a node: a
-    negative slack; a demand above the r vertices still to take (or fewer
-    than r undecided vertices); and the counting bound, which asks some
-    undecided vertex to cover at least ceil(D / r) demanding vertices, D
-    the summed demand.  Once every demand is met, the lowest-id undecided
+    The search branches fail-first (Haralick and Elliott, 1980): at each
+    node it picks the demanding vertex w of least slack (its undecided cover
+    vertices minus its demand, ties to the lower id) and branches on each
+    undecided u in w's cover in id order, taking u and leaving out the
+    candidates tried before it.  Banned vertices are never undecided, so
+    each slack starts from the unbanned cover vertices.  Three rules prune a
+    node: a negative slack; a demand above the r vertices still to take (or
+    fewer than r undecided vertices); and the counting bound, which asks
+    some undecided vertex to cover at least ceil(D / r) demanding vertices,
+    D the summed demand.  Once every demand is met, the lowest-id undecided
     vertices make up the size: a superset of a block is a block.
 
     Its node state is kept up to date on each take and undo, as in
     _smaller_set, instead of recounted over all n vertices: each vertex's
     slack, the number of negative slacks, the summed positive demand, the
     number of vertices at each demand level 1..k and the demanding mask.
-    Taking u costs each of u's closed neighbours one demand and one
-    undecided neighbour, so no slack changes; leaving u out costs each of
-    them one slack.
+    Taking u costs each vertex of u's cover one demand and one undecided
+    cover vertex, so no slack changes; leaving u out costs each of them one
+    slack.  The scans at a node walk only the set bits of the demanding and
+    undecided masks, and the least-slack scan stops at the first slack 0,
+    which no slack undercuts at a node that survives the first prune.
     """
-    check_degree_gate(g, k, "closed")
-    if t < k - 1:
-        raise ValueError(f"t must be at least k-1={k - 1}, got {t}")
-    if t > g.n:
-        raise ValueError(f"t={t} exceeds the vertex count {g.n}")
     n = g.n
-    covers = g.closed
-    cover_bits = g.cover_lists("closed")
-    slack = [len(bits) - k for bits in cover_bits]
-    short = 0  # negative slacks, each of which prunes; the degree gate leaves none at the root
+    covers = g.covers(mode)
+    cover_bits = g.cover_lists(mode)
+    free = ((1 << n) - 1) & ~banned  # the undecided vertices
+    slack = [(c & free).bit_count() - k for c in covers]
+    short = sum(1 for s in slack if s < 0)  # negative slacks, each of which prunes
     demand = [k] * n
     level = [0] * k + [n]  # level[d]: vertices of demand d, for d = 1..k; level[0] is never read
     total = k * n  # summed positive demand
     needy = (1 << n) - 1  # the vertices of positive demand
-    free = (1 << n) - 1  # the undecided vertices
     chosen = 0
     # One frame per branching node: its candidates and the index of the one
     # taken now; the candidates before it are left out.
@@ -409,22 +397,34 @@ def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | No
                     low = free & -free
                     chosen |= low
                     free ^= low
-                return bit_list(chosen)
-            # some demand is positive, so remaining >= 1 unless this prunes
-            if not any(level[remaining + 1 :]):
+                return chosen
+            worst = k
+            while not level[worst]:
+                worst -= 1
+            if worst <= remaining:
                 need = -(-total // remaining)
                 if need > 1:
                     # the counting bound: some undecided vertex must cover need demanding ones
-                    for v in range(n):
-                        if free >> v & 1 and (covers[v] & needy).bit_count() >= need:
+                    rest = free
+                    while rest:
+                        low = rest & -rest
+                        if (covers[low.bit_length() - 1] & needy).bit_count() >= need:
                             break
+                        rest ^= low
                     else:
                         need = 0
                 if need:
-                    w = least = -1
-                    for v in range(n):
-                        if needy >> v & 1 and (w < 0 or slack[v] < least):
-                            w, least = v, slack[v]
+                    w, least = -1, n  # every slack is below n
+                    rest = needy
+                    while rest:
+                        low = rest & -rest
+                        v = low.bit_length() - 1
+                        s = slack[v]
+                        if s < least:
+                            w, least = v, s
+                            if not s:
+                                break
+                        rest ^= low
                     cands = [v for v in cover_bits[w] if free >> v & 1]
                     frames.append([cands, 0])
                     u = cands[0]  # w's slack >= 0 leaves it at least its demand of candidates
@@ -476,3 +476,23 @@ def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | No
                 if d == 1:
                     needy ^= 1 << x
         u = -1
+
+
+def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | None:
+    """Witness T with |T| = t, min degree of G[T] >= k-1, and every outside
+    vertex having >= k neighbours in T; None when no such T exists.
+
+    These conditions say exactly that T is a k-tuple dominating set of
+    cardinality t, so the smallest feasible t is the k-tuple domination
+    number.  The search, _first_set in closed mode, is independent of
+    gamma_xk: it branches fail-first, on the undecided closed neighbours of
+    the demanding vertex of least slack, where gamma_xk takes or leaves the
+    vertices in id order.
+    """
+    check_degree_gate(g, k, "closed")
+    if t < k - 1:
+        raise ValueError(f"t must be at least k-1={k - 1}, got {t}")
+    if t > g.n:
+        raise ValueError(f"t={t} exceeds the vertex count {g.n}")
+    found = _first_set(g, k, "closed", t)
+    return None if found is None else bit_list(found)

@@ -27,13 +27,14 @@ from ktdom import (
     gnp,
     is_domatic_partition,
     is_ktuple_dominating,
+    kjoin_decomposition_exists,
     path,
     random_regular,
     zelinka_partition,
 )
 from ktdom import domatic
 from ktdom.domatic import ORACLE_PARTITION_CAP
-from ktdom.domination import satisfies_by_cases
+from ktdom.domination import GammaResult, satisfies_by_cases
 from partition_count import partition_counts
 from strategies import graphs
 
@@ -407,6 +408,25 @@ class TestMinimumSetRule:
         res = within(2, lambda: d_xk(g, 1, "closed"), "d_xk(gnp(28, 0.8, 2), 1, 'closed')")
         assert res.value == 14
         assert is_domatic_partition(g, res.witness)
+
+    def test_fail_first_searches_settle_sparse_rules(self):
+        # the rule's searches for a minimum set avoiding a mask branch fail-first: rr3(24,2)
+        # open (top 3, gamma 8) is refuted at 3 and rr4(42,1) closed (top 4, gamma 10) is left
+        # open at 4 in about 3 ms together, where taking the vertices in id order took about
+        # 2.5 and 77 ms; the largest reversal seen, random_regular(42, 4, 4) closed, went from 1.0
+        # to 15.4 ms
+        sparse = random_regular(24, 3, 2)
+        sparse_gamma = gamma_xk(sparse, 1, "open")
+        # gamma_xk takes about 1 s on rr4(42,1), so its witness is pinned here; the exact-size
+        # probe at 9 proves it minimum in about 30 ms
+        quartic = random_regular(42, 4, 1)
+        witness = (0, 1, 4, 5, 9, 11, 21, 24, 27, 29)
+        assert is_ktuple_dominating(quartic, witness, 1) and kjoin_decomposition_exists(quartic, 1, 9) is None
+        quartic_gamma = GammaResult(len(witness), witness, "closed", 1, 613_183)
+        left = within(0.03, lambda: [domatic._minimum_set_rule(sparse, 1, "open", 3, sparse_gamma),
+                                     domatic._minimum_set_rule(quartic, 1, "closed", 4, quartic_gamma)],
+                      "the minimum-set rule on rr3(24,2) open and rr4(42,1) closed")
+        assert left == [(2, None), (4, None)]
 
     @given(graphs(max_n=8), st.integers(1, 2), st.sampled_from(["closed", "open"]))
     @settings(max_examples=300, deadline=None)

@@ -297,22 +297,6 @@ class TestGammaSolver:
                     if g.min_degree >= k - 1:
                         assert gamma_xk(g, k).value >= k
 
-    @given(graphs(max_n=8), st.integers(1, 2), st.sampled_from(["closed", "open"]), st.integers(0, 255))
-    @settings(deadline=None)
-    def test_first_hit_finds_a_minimum_set_avoiding_the_banned(self, g, k, mode, banned):
-        # the search d_xk's minimum-set rule relies on, against plain enumeration
-        if g.min_degree < (k - 1 if mode == "closed" else k):
-            return
-        banned &= (1 << g.n) - 1
-        size = gamma_xk(g, k, mode).value
-        valid = is_ktuple_dominating if mode == "closed" else is_ktuple_total_dominating
-        found, _ = domination._smaller_set(g, k, mode, size + 1, banned, True)
-        free = [v for v in range(g.n) if not banned >> v & 1]
-        assert (found is not None) == any(valid(g, s, k) for s in combinations(free, size))
-        if found is not None:
-            members = [v for v in range(g.n) if found >> v & 1]
-            assert len(members) == size and not found & banned and valid(g, members, k)
-
     def test_deterministic_witness(self):
         g = cycle(7)
         first = gamma_xk(g, 2)
@@ -373,8 +357,7 @@ class TestGammaSolver:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_smaller_set_against_enumeration(self, seed):
-        # None exactly when no valid set avoiding the banned has fewer than bound
-        # vertices; otherwise such a set, and a minimum one when first is off
+        # None exactly when no valid set has fewer than bound vertices; otherwise a minimum one
         rng = random.Random(seed)
         for _ in range(40):
             n = rng.randint(1, 10)
@@ -384,22 +367,14 @@ class TestGammaSolver:
             if g.min_degree < (k - 1 if mode == "closed" else k):
                 continue
             valid = is_ktuple_dominating if mode == "closed" else is_ktuple_total_dominating
-            banned = rng.getrandbits(n) & rng.getrandbits(n)
             bound = rng.randint(0, n + 1)
-            sizes = [
-                mask.bit_count() for mask in range(1 << n) if not mask & banned and valid(g, bit_list(mask), k)
-            ]
-            least = min(sizes, default=None)
-            for first in (False, True):
-                found, _ = domination._smaller_set(g, k, mode, bound, banned, first)
-                case = (n, mode, k, banned, bound, first)
-                if least is None or least >= bound:
-                    assert found is None, case
-                    continue
-                assert found is not None and not found & banned, case
-                assert found.bit_count() < bound and valid(g, bit_list(found), k), case
-                if not first:
-                    assert found.bit_count() == least, case
+            least = min(mask.bit_count() for mask in range(1 << n) if valid(g, bit_list(mask), k))
+            found, _ = domination._smaller_set(g, k, mode, bound)
+            case = (n, mode, k, bound)
+            if least >= bound:
+                assert found is None, case
+            else:
+                assert found is not None and found.bit_count() == least and valid(g, bit_list(found), k), case
 
 
 class TestOracle:
@@ -493,6 +468,57 @@ class TestExactSizeScan:
                     assert (found is not None) == (t in sizes), (n, p, seed, k, t)
                     if found is not None:
                         assert len(set(found)) == t and is_ktuple_dominating(g, found, k)
+
+    @given(graphs(max_n=8), st.integers(1, 2), st.sampled_from(["closed", "open"]), st.integers(0, 255))
+    @settings(deadline=None)
+    def test_first_hit_finds_a_minimum_set_avoiding_the_banned(self, g, k, mode, banned):
+        # the search d_xk's minimum-set rule runs, at gamma, against plain enumeration
+        if g.min_degree < (k - 1 if mode == "closed" else k):
+            return
+        banned &= (1 << g.n) - 1
+        size = gamma_xk(g, k, mode).value
+        valid = is_ktuple_dominating if mode == "closed" else is_ktuple_total_dominating
+        found = domination._first_set(g, k, mode, size, banned)
+        free = [v for v in range(g.n) if not banned >> v & 1]
+        assert (found is not None) == any(valid(g, s, k) for s in combinations(free, size))
+        if found is not None:
+            members = [v for v in range(g.n) if found >> v & 1]
+            assert len(members) == size and not found & banned and valid(g, members, k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_set_against_enumeration(self, seed):
+        # at every size t, in both modes and with a random banned mask: None exactly when no
+        # valid set of t vertices avoids the banned, otherwise such a set
+        rng = random.Random(seed)
+        for _ in range(25):
+            n = rng.randint(1, 10)
+            g = gnp(n, rng.choice((0.3, 0.5, 0.7, 0.9)), rng.randrange(10**6))
+            mode = rng.choice(("closed", "open"))
+            k = rng.randint(1, 3)
+            if g.min_degree < (k - 1 if mode == "closed" else k):
+                continue
+            valid = is_ktuple_dominating if mode == "closed" else is_ktuple_total_dominating
+            banned = rng.getrandbits(n) & rng.getrandbits(n)
+            sizes = {mask.bit_count() for mask in range(1 << n) if not mask & banned and valid(g, bit_list(mask), k)}
+            for t in range(n + 1):
+                found = domination._first_set(g, k, mode, t, banned)
+                case = (n, mode, k, banned, t)
+                assert (found is not None) == (t in sizes), case
+                if found is not None:
+                    assert found.bit_count() == t and not found & banned and valid(g, bit_list(found), k), case
+
+    @pytest.mark.parametrize("g, k, mode, banned", [
+        (cycle(6), 2, "closed", 0b11),  # N[0] = {5, 0, 1} keeps one free vertex of the two it needs
+        (cycle(6), 1, "closed", 0b100011),  # N[0] keeps none
+        (complete(5), 3, "closed", 0b111),  # every N[v] keeps two of the three
+        (cycle(8), 2, "open", 0b10),  # N(0) = {7, 1} and N(2) = {1, 3} keep one of their two
+    ], ids=["C6 k=2", "C6 k=1", "K5 k=3", "C8 open k=2"])
+    def test_banned_vertices_count_against_slack(self, g, k, mode, banned):
+        # each slack starts from the unbanned cover vertices, so a vertex that keeps fewer than
+        # k of them leaves no set of any size; the root is pruned on its negative slack, which
+        # also keeps the search from branching on a vertex with no free cover vertex left
+        assert any((c & ~banned).bit_count() < k for c in g.covers(mode))
+        assert [domination._first_set(g, k, mode, t, banned) for t in range(g.n + 1)] == [None] * (g.n + 1)
 
     def test_size_bounds_validated(self):
         with pytest.raises(ValueError, match="at least"):
