@@ -12,7 +12,6 @@ sharpness candidates and for eyeballing how the invariants move with k.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -104,6 +103,4 @@ if __name__ == "__main__":
         main()
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed the pipe early (`| head`): stop quietly, as `ktdom` does,
-        # and send what is still buffered to devnull so the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        pass  # the reader closed the pipe early (`| head`): stop quietly, with exit 0

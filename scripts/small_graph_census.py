@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 from collections import Counter
@@ -88,6 +87,4 @@ if __name__ == "__main__":
         main()
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed the pipe early (`| head`): stop quietly, as `ktdom` does,
-        # and send what is still buffered to devnull so the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        pass  # the reader closed the pipe early (`| head`): stop quietly, with exit 0

@@ -56,8 +56,6 @@ _STATEMENTS = {
 
 CHECK_IDS = tuple(_STATEMENTS)
 
-SCAN_CAP = 16  # the C11 search is exponential in n
-
 # the values block of every bounds report, in field order; the fields of the same names hold it
 _VALUE_KEYS = ("gamma", "d", "gamma_total", "d_total", "d_complement")
 
@@ -157,8 +155,9 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
     Degree-gate failures mark the affected checks not-applicable instead of
     aborting, so batch callers always get a full report.
 
-    The only solve of its own is the complement's d for C7; γ and d come
-    from compute_invariants.  The complement is built and solved only when
+    γ and d come from compute_invariants.  Its own searches are two: the
+    complement's d for C7, and C11's exact-size probe, which re-proves γ's
+    minimality at every n.  The complement is built and solved only when
     degree_ceiling at its minimum degree n - 1 - Delta is 2 or more; at 1,
     d(complement) = 1 is forced.
     """
@@ -339,14 +338,11 @@ def verify_all(g: Graph, k: int) -> BoundsReport:
     # C11: supersets of blocks are blocks, so walk down from one at hand: gamma's
     # witness if the literal test accepts it, else V (the degree gate makes V one).
     # No block is smaller than k; when C11 holds, one probe at gamma - 1 decides it.
-    if n > SCAN_CAP:
-        checks.append(_na("C11", f"exact-size scan skipped for n = {n} > cap = {SCAN_CAP}"))
-    else:
-        witness = inv.gamma.witness
-        smallest = len(witness) if is_ktuple_dominating_by_cases(g, witness, k) else n
-        while smallest > k and kjoin_decomposition_exists(g, k, smallest - 1) is not None:
-            smallest -= 1
-        checks.append(_result("C11", smallest, gamma, HOLDS if smallest == gamma else VIOLATED))
+    witness = inv.gamma.witness
+    smallest = len(witness) if is_ktuple_dominating_by_cases(g, witness, k) else n
+    while smallest > k and kjoin_decomposition_exists(g, k, smallest - 1) is not None:
+        smallest -= 1
+    checks.append(_result("C11", smallest, gamma, HOLDS if smallest == gamma else VIOLATED))
 
     return BoundsReport(
         n, g.edge_count, delta, Delta, k, regular, bipartite, tuple(checks), inv,

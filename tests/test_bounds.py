@@ -25,6 +25,7 @@ from ktdom import (
     gnp,
     is_ktuple_dominating,
     path,
+    random_regular,
     verify_all,
 )
 from ktdom import bounds
@@ -241,11 +242,13 @@ class TestIndividualChecks:
         probed.clear()
         assert verify_all(complete(4), 2).check("C11").status == HOLDS
         assert probed == []  # gamma = k: no block is smaller
-
-    def test_exact_size_scan_capped(self):
-        report = verify_all(gnp(17, 0.5, 1), 1)
-        assert report.check("C11").status == NOT_APPLICABLE
-        assert report.check("C11").notes == "exact-size scan skipped for n = 17 > cap = 16"
+        # larger graphs: still one probe, at gamma - 1
+        for g, below in ((cycle(17), 5), (random_regular(24, 3, 2), 6)):
+            probed.clear()
+            assert verify_all(g, 1).check("C11").status == HOLDS
+            assert probed == [below]
+        c11 = verify_all(gnp(17, 0.5, 1), 1).check("C11")
+        assert (c11.status, c11.lhs, c11.rhs) == (HOLDS, 2, 2)
 
 
 class TestNoViolations:
