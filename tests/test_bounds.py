@@ -247,6 +247,9 @@ class TestIndividualChecks:
             probed.clear()
             assert verify_all(g, 1).check("C11").status == HOLDS
             assert probed == [below]
+
+    def test_exact_size_scan_uncapped(self):
+        # n = 17 was once skipped as not-applicable; C11 now runs at every n
         c11 = verify_all(gnp(17, 0.5, 1), 1).check("C11")
         assert (c11.status, c11.lhs, c11.rhs) == (HOLDS, 2, 2)
 
