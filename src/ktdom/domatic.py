@@ -137,7 +137,8 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
     vertex x we keep, against its cover, the per-class hit counts, the
     deficit sum(max(0, k - hits)) and the slack (uncoloured cover vertices
     minus deficit); per class, its size, its need (below) and, for each
-    h < k, the number of vertices with at most h hits of it.
+    h < k, the mask of vertices with at most h hits of it; and the mask of
+    vertices of slack 0.
     The search is fail-first, as in DSATUR: it picks the vertex w with the
     least slack (ties go to the lower id), colours the lowest-id uncoloured
     vertex of w's cover, and tries first the classes still short at w, then
@@ -146,26 +147,35 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
     kills class permutation symmetry; once every deficit is met the rest
     join class 0.
 
-    Two rules prune.  Each uncoloured cover vertex repairs at most one unit
-    of one class, so a negative slack fails.  Colouring v into c costs each
-    x in v's cover one uncoloured vertex and, while c is short at x, one
-    unit of deficit, so only a hit beyond k moves a slack.  Class c still
-    needs max(gamma - |c|, max_x(k - hits of c at x), 0) members, where
-    gamma is the minimum size of a k-tuple dominating set, so a sum of needs
-    above the uncoloured count fails.  The state is updated in place on each
-    colouring and undo, and the search runs on an explicit stack.
+    Two rules prune, and both are tested before a move, which is refused
+    instead of made and undone, so every colouring made keeps both.  Each
+    uncoloured cover vertex repairs at most one unit of one class, so a
+    negative slack fails.  Colouring v into c costs each x in v's cover one
+    uncoloured vertex and, while c is short at x, one unit of deficit, so
+    the move fails exactly when v's cover holds a vertex of slack 0 that c
+    already meets.  Class c still needs max(gamma - |c|, max_x(k - hits of
+    c at x), 0) members, where gamma is the minimum size of a k-tuple
+    dominating set, so a sum of needs above the uncoloured count fails.  A
+    colouring never raises a need, so the spare count (uncoloured vertices
+    minus summed needs) falls by at most 1, and only at spare 0 can the
+    move fail: exactly when c's need is 0, or is k - h for the lowest hit
+    level h of c and some vertex at level h lies outside v's cover.  The
+    state is updated in place on each colouring and undo, and the search
+    runs on an explicit stack.
     num_classes must not exceed degree_ceiling(g.min_degree, k, mode), so
     that every slack starts at zero or more.
     """
     n = g.n
+    covers = g.covers(mode)
     cover_bits = g.cover_lists(mode)
     color = [-1] * n
     counts = [[0] * num_classes for _ in range(n)]
     deficit = [k * num_classes] * n
     slack = [len(bits) - k * num_classes for bits in cover_bits]
+    tight = sum([1 << x for x, s in enumerate(slack) if not s])  # the vertices of slack 0
     size = [0] * num_classes
-    # low[c][h]: the vertices with at most h < k hits of class c
-    low = [[n] * k for _ in range(num_classes)]
+    # low[c][h]: the vertices with at most h < k hits of class c; those outside low[c][k - 1] are met
+    low = [[(1 << n) - 1] * k for _ in range(num_classes)]
     need = [gamma] * num_classes  # an empty class needs gamma >= k members
     spare = n - sum(need)  # uncoloured vertices minus the summed class needs
     opened = 0
@@ -196,7 +206,8 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
         if len(order) < len(classes):
             order += [c for c in classes if hits_w[c] >= k]
         stack.append([v, order, 0])
-        # try the next class of the top frame, backtracking over exhausted frames
+        # colour v of the top frame into its next class that passes both prunes, backtracking over
+        # exhausted frames
         while stack:
             frame = stack[-1]
             v, order, i = frame
@@ -212,47 +223,60 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
                     h = cu[c] - 1
                     cu[c] = h
                     if h < k:
-                        lc[h] += 1
+                        lc[h] |= 1 << u
                         deficit[u] += 1
                     else:
-                        slack[u] += 1
+                        s = slack[u]
+                        if not s:
+                            tight ^= 1 << u
+                        slack[u] = s + 1
                 h = 0
                 while h < k and not lc[h]:
                     h += 1
                 was = need[c]
                 need[c] = max(gamma - size[c], k - h)
                 spare += was - need[c] + 1
-            if i == len(order):
+            cover = covers[v]
+            while i < len(order):
+                c = order[i]
+                i += 1
+                lc = low[c]
+                if cover & tight & ~lc[-1]:
+                    continue  # a met vertex of slack 0 in v's cover would go negative
+                if not spare:  # the move lowers spare by 1 unless c's need falls
+                    d = need[c]
+                    # d >= k - h for c's lowest hit level h, so low[c][k - d] is nonempty only at
+                    # h = k - d, and then a vertex of it outside v's cover holds the need at d
+                    if not d or d <= k and lc[k - d] & ~cover:
+                        continue
+                break
+            else:
                 stack.pop()
                 continue
-            frame[2] = i + 1
-            c = order[i]
+            frame[2] = i
             color[v] = c
             size[c] += 1
             if c == opened:
                 opened += 1
-            ok = True
-            lc = low[c]
             for u in cover_bits[v]:
                 cu = counts[u]
                 h = cu[c]
                 cu[c] = h + 1
                 if h < k:
-                    lc[h] -= 1
+                    lc[h] ^= 1 << u
                     deficit[u] -= 1
                 else:
                     s = slack[u] - 1
                     slack[u] = s
-                    if s < 0:
-                        ok = False
+                    if not s:
+                        tight |= 1 << u
             h = 0
             while h < k and not lc[h]:
                 h += 1
             was = need[c]
             need[c] = max(gamma - size[c], k - h)
             spare += was - need[c] - 1
-            if ok and spare >= 0:
-                break
+            break
         else:
             return None
 
