@@ -22,10 +22,11 @@ from .domination import (
     _dominates,
     _first_set,
     _Record,
+    cases_table,
     check_degree_gate,
     gamma_oracle,
     gamma_xk,
-    satisfies_by_cases,
+    member_patterns,
     vertex_mask,
 )
 from .graphs import Graph, bit_list
@@ -451,25 +452,54 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     return DomaticResult(count, _partition(classes, k, mode), bounds)
 
 
-def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = None) -> DomaticResult:
-    """Brute-force reference: enumerate set partitions of V restricted to
-    class counts 2..bounds.ceiling, keep the best valid one, else 1.
+def _max_packing(by_low: list[list[int]], v: int, used: int, packed: list[int], best: list[int], size: int,
+                 top: int) -> None:
+    """Extend packed, pairwise disjoint masks covering used, by masks of
+    by_low whose lowest vertex is v or above, and copy into best each
+    packing longer than it, until best holds top masks.
 
-    The ceiling is the one d_xk starts from, with gamma_oracle's minimum in
-    place of gamma_xk's; every valid partition has gamma * d <= n, so the
-    cap never cuts off the answer.  Independent of d_xk: restricted-growth
-    enumeration plus the literal case-split membership test on neighbourhood
-    masks.  Blocks are vertex masks, each tested as it is, at most once per
-    distinct mask.  Before placing vertex v, a block b whose b | {v..n-1}
-    fails is dropped with its branch: every class grown from b lies inside
-    that mask, and supersets of valid sets are valid, so none of them can
-    pass.  Before that test, the class sizes prune: every valid class has
-    at least gamma members, so a branch is dropped when filling its blocks
-    up to gamma needs more than the n - v vertices left, or when the blocks
-    plus (n - v - that need) // gamma new ones cannot beat the best count.
-    Only branches without a valid partition of more classes than the best
-    are cut, so the first best partition in restricted-growth order is
-    still the one returned.  Hard error above the cap.
+    by_low[u] lists the minimal valid masks of lowest vertex u.  At the
+    lowest unused vertex from v on, each of its masks disjoint from used is
+    tried in turn, then the vertex is left out.  Every valid mask has at
+    least size members, so a branch is cut when the packed masks plus the
+    unused vertices from v on divided by size cannot beat best.
+    """
+    if len(packed) > len(best):
+        best[:] = packed
+        if len(best) == top:
+            return
+    n = len(by_low)
+    while v < n and used >> v & 1:
+        v += 1
+    if len(packed) + (n - v - (used >> v).bit_count()) // size <= len(best):
+        return
+    for mask in by_low[v]:
+        if not mask & used:
+            packed.append(mask)
+            _max_packing(by_low, v + 1, used | mask, packed, best, size, top)
+            packed.pop()
+            if len(best) == top:
+                return
+    _max_packing(by_low, v + 1, used, packed, best, size, top)
+
+
+def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = None) -> DomaticResult:
+    """Brute-force reference: the most pairwise disjoint minimal valid
+    sets, up to bounds.ceiling, else 1.
+
+    Supersets of valid sets are valid, so the classes of a valid partition
+    hold disjoint minimal valid sets, and disjoint minimal valid sets plus
+    the vertices they leave, joined to one of them, are a valid partition:
+    d is the largest such packing.  The ceiling is the one d_xk starts from,
+    with gamma_oracle's minimum in place of gamma_xk's; every valid
+    partition has gamma * d <= n, so the cap never cuts off the answer.
+    Independent of d_xk: the literal case split, evaluated on all 2^n
+    member masks at once (cases_table), marks the valid masks; a valid mask
+    is minimal when no mask one member smaller is valid, which n shifted
+    ANDs of the table decide; and a depth-first search by lowest vertex
+    (_max_packing) finds the largest packing, stopping at the ceiling.
+    The vertices that the packing leaves join its first class.  Hard error
+    above the cap.
 
     ``gamma`` may pass a precomputed gamma_oracle(g, k, mode) result to
     avoid a second minimum solve; a result for another k or mode is a
@@ -482,43 +512,19 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | Non
     if gamma is None:
         gamma = gamma_oracle(g, k, mode)
     bounds = _search_bounds(g, k, mode, gamma)
-    best = [(1 << n) - 1]  # the best partition so far, as block masks
-    max_blocks = bounds.ceiling
-    size = gamma.value  # every valid class has at least this many members
-    blocks: list[int] = []  # vertex masks, in restricted-growth order
-    passes: dict[int, bool] = {}  # the literal test, once per mask
-
-    def rec(v: int, short: int) -> None:
-        """Place vertices v..n-1; the blocks lack ``short`` members in all to reach size."""
-        nonlocal best
-        spare = n - v - short  # each new block takes size of these
-        if spare < 0 or min(max_blocks, len(blocks) + spare // size) <= len(best):
-            return
-        rest = (1 << n) - (1 << v)  # the vertices still to place
-        for b in blocks:
-            mask = b | rest
-            ok = passes.get(mask)
-            if ok is None:
-                ok = passes[mask] = satisfies_by_cases(g.adj, mask, k, mode)
-            if not ok:
-                return
-        if v == n:  # rest is empty, so every block passed the test as it stands
-            best = blocks.copy()
-            return
-        bit = 1 << v
-        for i in range(len(blocks)):
-            blocks[i] |= bit
-            rec(v + 1, short - (blocks[i].bit_count() <= size))
-            blocks[i] ^= bit
-        if len(blocks) < max_blocks:
-            blocks.append(bit)
-            rec(v + 1, short + size - 1)
-            blocks.pop()
-
-    try:
-        rec(0, 0)
-    finally:
-        del rec  # it refers to itself; drop that cycle instead of leaving it to the collector
+    full = (1 << n) - 1
+    best = [full]  # the best packing so far, at first the single class V
+    if bounds.ceiling > 1:
+        patterns = member_patterns(n)
+        table = cases_table(g.adj, k, mode, patterns)
+        minimal = table
+        for u, pattern in enumerate(patterns):
+            minimal &= ~(table << (1 << u) & pattern)  # drop each S whose S - {u} is valid
+        by_low: list[list[int]] = [[] for _ in range(n)]
+        for mask in bit_list(minimal):
+            by_low[(mask & -mask).bit_length() - 1].append(mask)
+        _max_packing(by_low, 0, 0, [], best, gamma.value, bounds.ceiling)
+        best[0] |= full - sum(best)
     return DomaticResult(len(best), _partition([bit_list(b) for b in best], k, mode), bounds)
 
 

@@ -111,6 +111,46 @@ def satisfies_by_cases(nbrs: tuple[int, ...], members: int, k: int, mode: str) -
     return True
 
 
+def member_patterns(n: int) -> list[int]:
+    """Bit S of the u-th pattern is set iff vertex u lies in member mask S,
+    for every S below 2^n: runs of 2^u zeros and 2^u ones.  Built from the
+    top: starting from the int of every mask, pattern u is pattern u + 1
+    XOR itself shifted down by 2^u."""
+    patterns = [0] * n
+    pattern = (1 << (1 << n)) - 1
+    for u in range(n - 1, -1, -1):
+        pattern ^= pattern >> (1 << u)
+        patterns[u] = pattern
+    return patterns
+
+
+def cases_table(nbrs: tuple[int, ...], k: int, mode: str, patterns: list[int]) -> int:
+    """satisfies_by_cases on every member mask at once: bit S of the result
+    is set iff satisfies_by_cases(nbrs, S, k, mode), for every S below 2^n.
+
+    patterns is member_patterns(n).  For each v, at_least[j] collects the
+    masks with at least j members among v's neighbours, counted one
+    neighbour at a time and saturating at k; v passes a mask with k of them,
+    or in closed mode with k - 1 when it is itself a member.  The table is
+    the AND of the passes over v.
+    """
+    full = (1 << (1 << len(nbrs))) - 1
+    table = full
+    levels = range(k - 1, 0, -1)
+    for v, nv in enumerate(nbrs):
+        at_least = [full] + [0] * k
+        for u in bit_list(nv):
+            member = patterns[u]
+            for j in levels:
+                at_least[j + 1] |= at_least[j] & member
+            at_least[1] |= member
+        passes = at_least[k]
+        if mode == "closed":
+            passes |= at_least[k - 1] & patterns[v]
+        table &= passes
+    return table
+
+
 def is_ktuple_dominating_by_cases(g: Graph, s: Iterable[int], k: int) -> bool:
     """Literal two-case definition, kept as an independent reference.
 

@@ -570,7 +570,7 @@ class TestExactCover:
 
 class TestDomaticOracle:
     def test_cap_is_enforced(self, monkeypatch):
-        for name in ("gamma_oracle", "satisfies_by_cases"):
+        for name in ("gamma_oracle", "cases_table"):
             monkeypatch.setattr(domatic, name, lambda *args: pytest.fail("searched"))
         with pytest.raises(OracleCapError, match=f"n={ORACLE_PARTITION_CAP + 1} > cap={ORACLE_PARTITION_CAP}"):
             d_oracle(cycle(ORACLE_PARTITION_CAP + 1), 1)
@@ -602,29 +602,30 @@ class TestDomaticOracle:
         # d(C_n) at k = 1 is 3 when 3 divides n, else 2
         assert d_oracle(cycle(ORACLE_PARTITION_CAP), 1).value == (3 if ORACLE_PARTITION_CAP % 3 == 0 else 2)
 
-    @pytest.mark.parametrize("g, k, mode", [
-        (cycle(6), 1, "closed"),
-        (complete(6), 2, "closed"),
-        (gnp(10, 0.7, 19), 1, "open"),
-    ])
-    def test_literal_test_runs_once_per_mask(self, g, k, mode, monkeypatch):
-        tested = []
+    # above the cap, raised for this test only: dense G(n, p) against d_xk, and up to n = 12
+    # against the partition count as well
+    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    def test_matches_solver_beyond_the_cap(self, n, monkeypatch):
+        monkeypatch.setattr(domatic, "ORACLE_PARTITION_CAP", 14)
+        for p in (0.7, 0.9):
+            for seed in range(1, 7):
+                g = gnp(n, p, seed)
+                for k in (1, 2):
+                    for mode in ("closed", "open"):
+                        if gated(g, k, mode):
+                            continue
+                        d = d_oracle(g, k, mode).value
+                        assert d == d_xk(g, k, mode).value, (p, seed, k, mode)
+                        if n <= 12:
+                            assert certified(g, k, mode, d), (p, seed, k, mode)
 
-        def spy(nbrs, members, k, mode):
-            tested.append(members)
-            return satisfies_by_cases(nbrs, members, k, mode)
-
-        monkeypatch.setattr(domatic, "satisfies_by_cases", spy)
-        d_oracle(g, k, mode)
-        assert len(tested) == len(set(tested)) <= 2 ** g.n
-
-    # the first best partition in restricted-growth order, which the superset prune must
-    # not move; the n = 10 rows are the cap instances where the prune cuts the most
+    # the packing's witness: the first largest packing of minimal valid sets by lowest vertex,
+    # its leftover vertices joined to the first class; the n = 10 rows are cap instances
     @pytest.mark.parametrize("g, k, mode, classes", [
         (cycle(6), 1, "closed", ((0, 3), (1, 4), (2, 5))),
-        (gnp(10, 0.7, 19), 1, "closed", ((0, 1), (2, 7, 8), (3, 5), (4, 6), (9,))),
+        (gnp(10, 0.7, 19), 1, "closed", ((0, 2, 7, 8), (1,), (3, 5), (4, 6), (9,))),
         (gnp(10, 0.7, 19), 1, "open", ((0, 2, 4), (1, 5), (3, 6, 7), (8, 9))),
-        (gnp(10, 0.8, 3), 1, "open", ((0, 1, 3, 6), (2, 4), (5, 9), (7, 8))),
+        (gnp(10, 0.8, 3), 1, "open", ((0, 1, 6, 8), (2, 4), (3, 7), (5, 9))),
         (gnp(10, 0.7, 13), 1, "closed", ((0, 1), (2, 5, 7), (3, 6, 9), (4, 8))),
     ])
     def test_frozen_witness_is_certified(self, g, k, mode, classes):

@@ -31,7 +31,7 @@ from ktdom import (
     random_regular,
 )
 from ktdom import domination
-from ktdom.domination import ORACLE_VERTEX_CAP, satisfies_by_cases
+from ktdom.domination import ORACLE_VERTEX_CAP, cases_table, member_patterns, satisfies_by_cases
 from ktdom.graphs import bit_list
 from strategies import all_graphs, graphs, sweep
 from test_domatic import within
@@ -213,6 +213,17 @@ class TestPredicates:
                     by_sets = all(len(nv & members) >= (k - 1 if mode == "closed" and v in members else k)
                                   for v, nv in enumerate(nbrs))
                     assert satisfies_by_cases(g.adj, s, k, mode) == by_sets, (g.adj, s, k, mode)
+
+    def test_table_matches_the_predicate_on_every_mask(self):
+        # the all-masks form against the one-mask form, bit by bit: every labelled graph with
+        # n <= 5 and seeded G(n, p) up to n = 10, k 1-3 and both modes
+        seeded = [gnp(n, p, seed) for n in range(6, 11) for p in (0.3, 0.6, 0.9) for seed in (1, 2)]
+        for g in chain(sweep(5), seeded):
+            patterns = member_patterns(g.n)
+            for k, mode in product((1, 2, 3), ("closed", "open")):
+                table = cases_table(g.adj, k, mode, patterns)
+                for s in range(1 << g.n):
+                    assert (table >> s & 1) == satisfies_by_cases(g.adj, s, k, mode), (g.adj, s, k, mode)
 
     @given(graphs(max_n=7), st.data())
     def test_case_split_equivalence_random(self, g, data):

@@ -49,7 +49,7 @@ def test_repeated_solves_keep_memory_flat():
 def test_repeated_cross_checks_keep_memory_flat():
     g = gnp(9, 0.7, 2)
     report = compute_invariants(g, 1)
-    # the oracles: subset enumeration, and d_oracle's nested search and mask table
+    # the oracles: subset enumeration, and d_oracle's table of valid masks and packing search
     growth = growth_over_rounds(lambda: cross_check(g, report))
     assert growth < BLOCK_LIMIT, f"allocated blocks grew by {growth} over {ROUNDS} rounds"
 
@@ -59,7 +59,7 @@ def test_verify_all_leaves_no_garbage_cycles():
     gc.collect()
     verify_all(g, 1)
     gamma_xk(random_regular(24, 3, 2), 1, "open")
-    compute_invariants(gnp(8, 0.6, 1), 1, with_oracle=True)  # d_oracle's recursive search
+    compute_invariants(gnp(8, 0.6, 1), 1, with_oracle=True)  # d_oracle's recursive packing search
     assert gc.collect() == 0
 
 
