@@ -21,12 +21,10 @@ from .domination import (
     _check_mode,
     _dominates,
     _first_set,
+    _minimal_masks,
     _Record,
-    cases_table,
     check_degree_gate,
-    gamma_oracle,
     gamma_xk,
-    member_patterns,
     vertex_mask,
 )
 from .graphs import Graph, bit_list
@@ -84,6 +82,7 @@ def is_domatic_partition(g: Graph, p: DomaticPartition) -> bool:
     empty class merely returns False.
     """
     _check_mode(p.mode)
+    _check_k(p.k)
     masks = [vertex_mask(g, cls) for cls in p.classes]
     union = 0
     for mask in masks:
@@ -92,7 +91,6 @@ def is_domatic_partition(g: Graph, p: DomaticPartition) -> bool:
         union |= mask
     if union != (1 << g.n) - 1 or not all(masks):
         return False
-    _check_k(p.k)
     covers = g.covers(p.mode)
     return all(_dominates(covers, mask, p.k) for mask in masks)
 
@@ -117,13 +115,10 @@ def zelinka_floor(g: Graph, k: int) -> int:
     return g.n // (k * (g.n - g.min_degree))
 
 
-def _search_bounds(g: Graph, k: int, mode: str, gamma: GammaResult) -> SearchBounds:
-    """The bounds framing a search, given its (exact or reference) minimum;
-    a minimum for another k or mode is a ValueError."""
-    if (gamma.k, gamma.mode) != (k, mode):
-        raise ValueError(f"gamma result is for k={gamma.k}, mode={gamma.mode!r}, not k={k}, mode={mode!r}")
+def _search_bounds(g: Graph, k: int, mode: str, size: int) -> SearchBounds:
+    """The bounds framing a search, given its (exact or reference) minimum set size."""
     floor = max(1, zelinka_floor(g, k)) if mode == "closed" else 1
-    return SearchBounds(floor, degree_ceiling(g.min_degree, k, mode), g.n // gamma.value)
+    return SearchBounds(floor, degree_ceiling(g.min_degree, k, mode), g.n // size)
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +423,20 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     search, as do two-class counts and every count at slack 2 or more.
 
     ``gamma`` may pass a precomputed gamma_xk(g, k, mode) result to avoid a
-    second minimum solve; a result for another k or mode is a ValueError.
+    second minimum solve; a result for another k or mode, or whose witness
+    is not a valid set of g with gamma.value members, is a ValueError.
     """
     check_degree_gate(g, k, mode)
     if gamma is None:
         gamma = gamma_xk(g, k, mode)
-    bounds = _search_bounds(g, k, mode, gamma)
+    elif (gamma.k, gamma.mode) != (k, mode):
+        raise ValueError(f"gamma result is for k={gamma.k}, mode={gamma.mode!r}, not k={k}, mode={mode!r}")
+    else:
+        witness = vertex_mask(g, gamma.witness)
+        if witness.bit_count() != gamma.value or not _dominates(g.covers(mode), witness, k):
+            raise ValueError(f"gamma witness {gamma.witness} is not a valid set of {gamma.value} vertices of g")
     size = gamma.value
+    bounds = _search_bounds(g, k, mode, size)
     count, classes = _minimum_set_rule(g, k, mode, bounds.ceiling, gamma)
     family = None  # the minimum sets, listed at the first count that exact cover may decide
     while classes is None and count > 1:
@@ -483,7 +485,7 @@ def _max_packing(by_low: list[list[int]], v: int, used: int, packed: list[int], 
     _max_packing(by_low, v + 1, used, packed, best, size, top)
 
 
-def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = None) -> DomaticResult:
+def d_oracle(g: Graph, k: int, mode: str = "closed") -> DomaticResult:
     """Brute-force reference: the most pairwise disjoint minimal valid
     sets, up to bounds.ceiling, else 1.
 
@@ -491,39 +493,28 @@ def d_oracle(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | Non
     hold disjoint minimal valid sets, and disjoint minimal valid sets plus
     the vertices they leave, joined to one of them, are a valid partition:
     d is the largest such packing.  The ceiling is the one d_xk starts from,
-    with gamma_oracle's minimum in place of gamma_xk's; every valid
+    with the least size of a minimal valid set as the minimum; every valid
     partition has gamma * d <= n, so the cap never cuts off the answer.
-    Independent of d_xk: the literal case split, evaluated on all 2^n
-    member masks at once (cases_table), marks the valid masks; a valid mask
-    is minimal when no mask one member smaller is valid, which n shifted
-    ANDs of the table decide; and a depth-first search by lowest vertex
+    Independent of d_xk and of gamma_oracle: the minimal valid sets come
+    from _minimal_masks, and a depth-first search by lowest vertex
     (_max_packing) finds the largest packing, stopping at the ceiling.
     The vertices that the packing leaves join its first class.  Hard error
     above the cap.
-
-    ``gamma`` may pass a precomputed gamma_oracle(g, k, mode) result to
-    avoid a second minimum solve; a result for another k or mode is a
-    ValueError, as in d_xk.
     """
     check_degree_gate(g, k, mode)
     if g.n > ORACLE_PARTITION_CAP:
         raise OracleCapError(f"oracle refuses n={g.n} > cap={ORACLE_PARTITION_CAP}")
     n = g.n
-    if gamma is None:
-        gamma = gamma_oracle(g, k, mode)
-    bounds = _search_bounds(g, k, mode, gamma)
+    masks = _minimal_masks(g, k, mode)
+    size = min(map(int.bit_count, masks))
+    bounds = _search_bounds(g, k, mode, size)
     full = (1 << n) - 1
     best = [full]  # the best packing so far, at first the single class V
     if bounds.ceiling > 1:
-        patterns = member_patterns(n)
-        table = cases_table(g.adj, k, mode, patterns)
-        minimal = table
-        for u, pattern in enumerate(patterns):
-            minimal &= ~(table << (1 << u) & pattern)  # drop each S whose S - {u} is valid
         by_low: list[list[int]] = [[] for _ in range(n)]
-        for mask in bit_list(minimal):
+        for mask in masks:
             by_low[(mask & -mask).bit_length() - 1].append(mask)
-        _max_packing(by_low, 0, 0, [], best, gamma.value, bounds.ceiling)
+        _max_packing(by_low, 0, 0, [], best, size, bounds.ceiling)
         best[0] |= full - sum(best)
     return DomaticResult(len(best), _partition([bit_list(b) for b in best], k, mode), bounds)
 

@@ -16,7 +16,6 @@ exist.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -362,24 +361,30 @@ def gamma_xk(g: Graph, k: int, mode: str = "closed") -> GammaResult:
     return GammaResult(best.bit_count(), bit_list(best), mode, k, nodes)
 
 
-def gamma_oracle(g: Graph, k: int, mode: str = "closed") -> GammaResult:
-    """Brute-force reference: subsets by increasing cardinality, first hit wins.
+def _minimal_masks(g: Graph, k: int, mode: str) -> tuple[int, ...]:
+    """The minimal k-tuple (total) dominating sets of g as ascending member
+    masks, the one source of both oracles: cases_table marks the valid
+    masks, and a valid mask is minimal when no mask one member smaller is
+    valid, which n shifted ANDs of the table decide."""
+    patterns = member_patterns(g.n)
+    table = cases_table(g.adj, k, mode, patterns)
+    minimal = table
+    for u, pattern in enumerate(patterns):
+        minimal &= ~(table << (1 << u) & pattern)  # drop each S whose S - {u} is valid
+    return bit_list(minimal)
 
-    Independent of the branch-and-bound path: the literal case-split
-    definition on neighbourhood masks, over the subsets of each size in
-    lexicographic order.  Hard error above the vertex cap.
-    """
+
+def gamma_oracle(g: Graph, k: int, mode: str = "closed") -> GammaResult:
+    """Brute-force reference: every minimum set is minimal, so the answer is
+    the least of _minimal_masks by size, then by sorted members, and
+    nodes_explored counts them.  Independent of gamma_xk; hard error above
+    the vertex cap."""
     check_degree_gate(g, k, mode)
     if g.n > ORACLE_VERTEX_CAP:
         raise OracleCapError(f"oracle refuses n={g.n} > cap={ORACLE_VERTEX_CAP}")
-    bits = [1 << v for v in range(g.n)]
-    checked = 0
-    for size in range(g.n + 1):
-        for combo in itertools.combinations(bits, size):
-            checked += 1
-            if satisfies_by_cases(g.adj, sum(combo), k, mode):
-                return GammaResult(size, bit_list(sum(combo)), mode, k, checked)
-    raise AssertionError("unreachable: the degree gate guarantees V itself is feasible")
+    masks = _minimal_masks(g, k, mode)
+    best = min(masks, key=lambda mask: (mask.bit_count(), bit_list(mask)))
+    return GammaResult(best.bit_count(), bit_list(best), mode, k, len(masks))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from ktdom import (
     cycle,
     d_oracle,
     d_xk,
-    gamma_oracle,
     gamma_xk,
     gnp,
     is_domatic_partition,
@@ -32,7 +31,7 @@ from ktdom import (
     random_regular,
     zelinka_partition,
 )
-from ktdom import domatic
+from ktdom import domatic, domination
 from ktdom.domatic import ORACLE_PARTITION_CAP
 from ktdom.domination import GammaResult, satisfies_by_cases
 from partition_count import partition_counts
@@ -91,7 +90,7 @@ def within(seconds, solve, label):
 def minimum_set_rule(g, k, mode):
     """The rule as d_xk applies it: (largest count left open, slack-0 partition or None, top)."""
     gamma = gamma_xk(g, k, mode)
-    top = domatic._search_bounds(g, k, mode, gamma).ceiling
+    top = domatic._search_bounds(g, k, mode, gamma.value).ceiling
     left, classes = domatic._minimum_set_rule(g, k, mode, top, gamma)
     return left, None if classes is None else domatic._partition(classes, k, mode), top
 
@@ -120,6 +119,11 @@ class TestPartitionPredicate:
     def test_empty_class_is_false(self):
         p = DomaticPartition(((0, 1, 2, 3), ()), 1, "closed")
         assert not is_domatic_partition(cycle(4), p)
+
+    def test_bad_k_raises_before_the_cover_test(self):
+        for classes in (((0, 1),), ((0, 1), (2, 3))):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                is_domatic_partition(cycle(4), DomaticPartition(classes, 0, "closed"))
 
     def test_overlap_raises(self):
         p = DomaticPartition(((0, 1), (1, 2, 3)), 1, "closed")
@@ -226,6 +230,11 @@ class TestDomaticSolver:
         with pytest.raises(ValueError, match="mode='open'"):
             d_xk(g, 1, gamma=gamma_xk(g, 1, "open"))
         assert d_xk(g, 1, gamma=gamma_xk(g, 1)).value == 3
+        # a minimum of another graph: its witness (1, 5) does not dominate this one
+        with pytest.raises(ValueError, match=r"gamma witness \(1, 5\) is not a valid set of 2 vertices"):
+            d_xk(gnp(6, 0.6, 8), 1, gamma=gamma_xk(gnp(6, 0.6, 1001), 1))
+        with pytest.raises(ValueError, match="is not a valid set of 2 vertices"):
+            d_xk(g, 1, gamma=GammaResult(2, (0, 2, 4), "closed", 1, 0))  # valid, but of 3 vertices
 
     def test_value_at_the_zelinka_floor_is_searched(self):
         # K7 at k = 2: the floor and the ceiling are both 3, and the witness
@@ -570,8 +579,7 @@ class TestExactCover:
 
 class TestDomaticOracle:
     def test_cap_is_enforced(self, monkeypatch):
-        for name in ("gamma_oracle", "cases_table"):
-            monkeypatch.setattr(domatic, name, lambda *args: pytest.fail("searched"))
+        monkeypatch.setattr(domination, "cases_table", lambda *args: pytest.fail("searched"))
         with pytest.raises(OracleCapError, match=f"n={ORACLE_PARTITION_CAP + 1} > cap={ORACLE_PARTITION_CAP}"):
             d_oracle(cycle(ORACLE_PARTITION_CAP + 1), 1)
 
@@ -589,14 +597,6 @@ class TestDomaticOracle:
             for mode in ("closed", "open"):
                 if not gated(g, k, mode):
                     assert certified(g, k, mode, d_oracle(g, k, mode).value), (k, mode)
-
-    def test_precomputed_gamma_must_match_k_and_mode(self):
-        g = cycle(6)
-        with pytest.raises(ValueError, match="gamma result is for k=2"):
-            d_oracle(g, 1, gamma=gamma_oracle(g, 2))
-        with pytest.raises(ValueError, match="mode='open'"):
-            d_oracle(g, 1, gamma=gamma_oracle(g, 1, "open"))
-        assert d_oracle(g, 1, gamma=gamma_oracle(g, 1)).value == 3
 
     def test_answers_at_the_cap(self):
         # d(C_n) at k = 1 is 3 when 3 divides n, else 2

@@ -97,21 +97,21 @@ PINNED_SEARCHES = [
 ]
 
 
-# (graph, k, mode, (value, witness, nodes_explored)) of gamma_oracle: its first hit in
-# lexicographic order within each size, and the subsets it tested up to that hit
+# (graph, k, mode, (value, witness, nodes_explored)) of gamma_oracle: the lexicographically
+# first minimum set, and the number of minimal valid sets it chose from
 PINNED_ORACLE = [
-    (path(5), 1, "closed", (2, (0, 3), 9)),
-    (path(5), 1, "open", (3, (1, 2, 3), 23)),
-    (cycle(7), 2, "closed", (5, (0, 1, 2, 4, 5), 103)),
-    (cycle(7), 2, "open", (7, (0, 1, 2, 3, 4, 5, 6), 128)),
-    (complete_bipartite(2, 3), 2, "closed", (3, (0, 1, 2), 17)),
-    (complete_bipartite(2, 3), 2, "open", (4, (0, 1, 2, 3), 27)),
-    (clique_chain(2), 2, "closed", (4, (0, 1, 4, 5), 103)),
-    (clique_chain(2), 2, "open", (4, (2, 3, 4, 5), 149)),
-    (gnp(8, 0.5, 3), 2, "closed", (5, (0, 1, 2, 4, 5), 168)),
-    (gnp(8, 0.5, 3), 2, "open", (6, (1, 2, 3, 5, 6, 7), 244)),
-    (gnp(9, 0.7, 19), 1, "closed", (1, (1,), 3)),
-    (gnp(9, 0.7, 19), 1, "open", (2, (0, 1), 11)),
+    (path(5), 1, "closed", (2, (0, 3), 4)),
+    (path(5), 1, "open", (3, (1, 2, 3), 2)),
+    (cycle(7), 2, "closed", (5, (0, 1, 2, 4, 5), 7)),
+    (cycle(7), 2, "open", (7, (0, 1, 2, 3, 4, 5, 6), 1)),
+    (complete_bipartite(2, 3), 2, "closed", (3, (0, 1, 2), 5)),
+    (complete_bipartite(2, 3), 2, "open", (4, (0, 1, 2, 3), 3)),
+    (clique_chain(2), 2, "closed", (4, (0, 1, 4, 5), 36)),
+    (clique_chain(2), 2, "open", (4, (2, 3, 4, 5), 9)),
+    (gnp(8, 0.5, 3), 2, "closed", (5, (0, 1, 2, 4, 5), 16)),
+    (gnp(8, 0.5, 3), 2, "open", (6, (1, 2, 3, 5, 6, 7), 1)),
+    (gnp(9, 0.7, 19), 1, "closed", (1, (1,), 20)),
+    (gnp(9, 0.7, 19), 1, "open", (2, (0, 1), 16)),
 ]
 
 
@@ -224,6 +224,15 @@ class TestPredicates:
                 table = cases_table(g.adj, k, mode, patterns)
                 for s in range(1 << g.n):
                     assert (table >> s & 1) == satisfies_by_cases(g.adj, s, k, mode), (g.adj, s, k, mode)
+
+    def test_minimal_masks_match_the_predicate(self):
+        # the valid masks that lose validity when any one member is dropped, by the one-mask form:
+        # every labelled graph with n <= 5, k 1-3 and both modes
+        for g in sweep(5):
+            for k, mode in product((1, 2, 3), ("closed", "open")):
+                valid = [satisfies_by_cases(g.adj, s, k, mode) for s in range(1 << g.n)]
+                minimal = [s for s, ok in enumerate(valid) if ok and not any(valid[s ^ 1 << u] for u in bit_list(s))]
+                assert domination._minimal_masks(g, k, mode) == tuple(minimal), (g.adj, k, mode)
 
     @given(graphs(max_n=7), st.data())
     def test_case_split_equivalence_random(self, g, data):
@@ -390,12 +399,17 @@ class TestGammaSolver:
 
 class TestOracle:
     def test_cap_is_enforced(self, monkeypatch):
-        monkeypatch.setattr(domination, "satisfies_by_cases", lambda *args: pytest.fail("searched"))
+        monkeypatch.setattr(domination, "cases_table", lambda *args: pytest.fail("searched"))
         with pytest.raises(OracleCapError, match=f"n={ORACLE_VERTEX_CAP + 1} > cap={ORACLE_VERTEX_CAP}"):
             gamma_oracle(path(ORACLE_VERTEX_CAP + 1), 1)
 
     def test_answers_at_the_cap(self):
         assert gamma_oracle(path(ORACLE_VERTEX_CAP), 1).value == -(-ORACLE_VERTEX_CAP // 3)  # ceil(n/3)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_solver_at_the_cap(self, k):
+        g = gnp(ORACLE_VERTEX_CAP, 0.3, 5)
+        assert gamma_oracle(g, k).value == gamma_xk(g, k).value
 
     def test_respects_gate(self):
         with pytest.raises(DegreeGateError):

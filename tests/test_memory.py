@@ -49,7 +49,7 @@ def test_repeated_solves_keep_memory_flat():
 def test_repeated_cross_checks_keep_memory_flat():
     g = gnp(9, 0.7, 2)
     report = compute_invariants(g, 1)
-    # the oracles: subset enumeration, and d_oracle's table of valid masks and packing search
+    # the oracles: each one's table of valid and minimal masks, and d_oracle's packing search
     growth = growth_over_rounds(lambda: cross_check(g, report))
     assert growth < BLOCK_LIMIT, f"allocated blocks grew by {growth} over {ROUNDS} rounds"
 

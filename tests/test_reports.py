@@ -7,7 +7,7 @@ import json
 import pytest
 
 from ktdom import OracleCapError, complete, compute_invariants, cycle, gnp, path, verify_all
-from ktdom import domatic, reports
+from ktdom import domatic, domination, reports
 from ktdom.reports import cross_check
 
 
@@ -77,7 +77,7 @@ def test_cross_check_skips_a_gated_mode(monkeypatch):
 
 
 def test_cross_check_solves_each_gamma_oracle_once(monkeypatch):
-    # d_oracle takes the minimum cross_check just computed instead of solving it again
+    # d_oracle reads its minimum from its own minimal valid sets, so gamma_oracle runs once per mode
     modes = []
     original = reports.gamma_oracle
 
@@ -85,8 +85,9 @@ def test_cross_check_solves_each_gamma_oracle_once(monkeypatch):
         modes.append(mode)
         return original(g, k, mode)
 
-    for module in (reports, domatic):
-        monkeypatch.setattr(module, "gamma_oracle", spy)
+    monkeypatch.setattr(reports, "gamma_oracle", spy)
+    monkeypatch.setattr(domination, "gamma_oracle", lambda *args: pytest.fail("d_oracle called gamma_oracle"))
+    assert not hasattr(domatic, "gamma_oracle")
     report = compute_invariants(gnp(9, 0.5, 1), 1, with_oracle=True)
     assert report.oracle_mismatches == ()
     assert modes == ["closed", "open"]
