@@ -47,18 +47,14 @@ class DomaticPartition(_Record):
 
 @dataclass(frozen=True, slots=True)
 class SearchBounds(_Record):
-    """Bounds that framed a domatic search.
+    """The two ceilings that framed a domatic search.
 
-    zelinka_floor is max(1, floor(n / (k(n-delta)))) in closed mode, the
-    constructive lower bound raised to the trivial 1 when the raw floor is
-    0, and 1 in open mode; it is only reported, and no search reads it.
     degree_ceiling is degree_ceiling(delta, k, mode); gamma_ceiling is
     floor(n / minimum set size), since gamma * d <= n.  ceiling, the
-    smaller of the two ceilings, is where both d_xk and d_oracle start;
-    to_dict() does not write it.
+    smaller of the two, is where both d_xk and d_oracle start; to_dict()
+    does not write it.
     """
 
-    zelinka_floor: int
     degree_ceiling: int
     gamma_ceiling: int
 
@@ -116,9 +112,8 @@ def zelinka_floor(g: Graph, k: int) -> int:
 
 
 def _search_bounds(g: Graph, k: int, mode: str, size: int) -> SearchBounds:
-    """The bounds framing a search, given its (exact or reference) minimum set size."""
-    floor = max(1, zelinka_floor(g, k)) if mode == "closed" else 1
-    return SearchBounds(floor, degree_ceiling(g.min_degree, k, mode), g.n // size)
+    """The ceilings framing a search, given its (exact or reference) minimum set size."""
+    return SearchBounds(degree_ceiling(g.min_degree, k, mode), g.n // size)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +273,11 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
 
 
 def _minimum_set_rule(
-    g: Graph, k: int, mode: str, top: int, gamma: GammaResult
+    g: Graph, k: int, mode: str, top: int, size: int, witness: int
 ) -> tuple[int, list[tuple[int, ...]] | None]:
     """Settle class counts from the family of minimum sets.
 
-    In a partition into c classes, each of at least gamma vertices and
+    In a partition into c classes, each of at least gamma = size vertices and
     summing to n, at least m = c(gamma + 1) - n classes are minimum sets,
     pairwise disjoint.  A set H that meets every minimum set bounds such a
     packing by |H| (nu <= tau), so each c with m > |H| is infeasible.
@@ -290,7 +285,7 @@ def _minimum_set_rule(
     The family is explored once, at top, by searches for a minimum set
     avoiding a banned mask: _first_set at size gamma, the fail-first search
     that C11's exact-size probe runs, which returns the first such set it
-    meets.  A greedy packing grows from the witness, up to m sets;
+    meets.  A greedy packing grows from the witness mask, up to m sets;
     top <= n // gamma makes m = top - s at slack s = n - top * gamma.  A full packing is a partition at slack 0, and at
     slack 1 when the gamma + 1 vertices it leaves form a valid class; those
     classes are returned.  Otherwise H takes the highest-degree vertex
@@ -300,12 +295,12 @@ def _minimum_set_rule(
     (n + |H|) // (gamma + 1) is refuted.  Returns the largest count left
     open and the slack-0 or slack-1 classes or None.
     """
-    size, n = gamma.value, g.n
+    n = g.n
     want = top * (size + 1) - n
     if want < 2:  # |H| >= 1 refutes no m < 2, and at top = 1 the witness alone is no partition
         return top, None
-    packing = [vertex_mask(g, gamma.witness)]
-    used = packing[0]
+    packing = [witness]
+    used = witness
     while len(packing) < want:
         found = _first_set(g, k, mode, size, used)
         if found is None:
@@ -423,21 +418,20 @@ def d_xk(g: Graph, k: int, mode: str = "closed", *, gamma: GammaResult | None = 
     search, as do two-class counts and every count at slack 2 or more.
 
     ``gamma`` may pass a precomputed gamma_xk(g, k, mode) result to avoid a
-    second minimum solve; a result for another k or mode, or whose witness
-    is not a valid set of g with gamma.value members, is a ValueError.
+    second minimum solve; one for another k or mode is a ValueError, as is
+    a witness, passed or solved, that is no valid set of gamma.value members.
     """
     check_degree_gate(g, k, mode)
     if gamma is None:
         gamma = gamma_xk(g, k, mode)
     elif (gamma.k, gamma.mode) != (k, mode):
         raise ValueError(f"gamma result is for k={gamma.k}, mode={gamma.mode!r}, not k={k}, mode={mode!r}")
-    else:
-        witness = vertex_mask(g, gamma.witness)
-        if witness.bit_count() != gamma.value or not _dominates(g.covers(mode), witness, k):
-            raise ValueError(f"gamma witness {gamma.witness} is not a valid set of {gamma.value} vertices of g")
     size = gamma.value
+    witness = vertex_mask(g, gamma.witness)
+    if witness.bit_count() != size or not _dominates(g.covers(mode), witness, k):
+        raise ValueError(f"gamma witness {gamma.witness} is not a valid set of {size} vertices of g")
     bounds = _search_bounds(g, k, mode, size)
-    count, classes = _minimum_set_rule(g, k, mode, bounds.ceiling, gamma)
+    count, classes = _minimum_set_rule(g, k, mode, bounds.ceiling, size, witness)
     family = None  # the minimum sets, listed at the first count that exact cover may decide
     while classes is None and count > 1:
         cover = count > 2 and g.n - count * size <= 1

@@ -16,6 +16,7 @@ exist.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -365,13 +366,15 @@ def _minimal_masks(g: Graph, k: int, mode: str) -> tuple[int, ...]:
     """The minimal k-tuple (total) dominating sets of g as ascending member
     masks, the one source of both oracles: cases_table marks the valid
     masks, and a valid mask is minimal when no mask one member smaller is
-    valid, which n shifted ANDs of the table decide."""
+    valid, which n shifted ANDs of the table decide; one pass over the
+    binary digits of the 2^n-bit result then reads them."""
     patterns = member_patterns(g.n)
     table = cases_table(g.adj, k, mode, patterns)
     minimal = table
     for u, pattern in enumerate(patterns):
         minimal &= ~(table << (1 << u) & pattern)  # drop each S whose S - {u} is valid
-    return bit_list(minimal)
+    digits = bin(minimal)[:1:-1]  # digit S is bit S; bit_list would rescan the int once per set bit
+    return tuple([found.start() for found in re.finditer("1", digits)])
 
 
 def gamma_oracle(g: Graph, k: int, mode: str = "closed") -> GammaResult:
@@ -535,6 +538,8 @@ def kjoin_decomposition_exists(g: Graph, k: int, t: int) -> tuple[int, ...] | No
     vertices in id order.
     """
     check_degree_gate(g, k, "closed")
+    if not isinstance(t, int) or isinstance(t, bool):
+        raise ValueError(f"t must be an integer, got {t!r}")
     if t < k - 1:
         raise ValueError(f"t must be at least k-1={k - 1}, got {t}")
     if t > g.n:

@@ -32,8 +32,8 @@ from ktdom import (
     zelinka_partition,
 )
 from ktdom import domatic, domination
-from ktdom.domatic import ORACLE_PARTITION_CAP
-from ktdom.domination import GammaResult, satisfies_by_cases
+from ktdom.domatic import ORACLE_PARTITION_CAP, zelinka_floor
+from ktdom.domination import GammaResult, satisfies_by_cases, vertex_mask
 from partition_count import partition_counts
 from strategies import graphs
 
@@ -91,7 +91,7 @@ def minimum_set_rule(g, k, mode):
     """The rule as d_xk applies it: (largest count left open, slack-0 partition or None, top)."""
     gamma = gamma_xk(g, k, mode)
     top = domatic._search_bounds(g, k, mode, gamma.value).ceiling
-    left, classes = domatic._minimum_set_rule(g, k, mode, top, gamma)
+    left, classes = domatic._minimum_set_rule(g, k, mode, top, gamma.value, vertex_mask(g, gamma.witness))
     return left, None if classes is None else domatic._partition(classes, k, mode), top
 
 
@@ -187,7 +187,9 @@ class TestDomaticSolver:
         for res in results:
             b = res.bounds_used
             assert b.ceiling == min(b.degree_ceiling, b.gamma_ceiling)
-            assert b.zelinka_floor <= res.value <= b.ceiling
+            assert 1 <= res.value <= b.ceiling
+            if mode == "closed":
+                assert zelinka_floor(g, k) <= res.value
             assert "ceiling" not in b.to_dict()
         assert all(res.bounds_used == results[0].bounds_used for res in results)
 
@@ -236,11 +238,17 @@ class TestDomaticSolver:
         with pytest.raises(ValueError, match="is not a valid set of 2 vertices"):
             d_xk(g, 1, gamma=GammaResult(2, (0, 2, 4), "closed", 1, 0))  # valid, but of 3 vertices
 
+    def test_solved_gamma_is_checked_on_the_same_path(self, monkeypatch):
+        # a witness that d_xk solved itself passes the check that a handed-in one passes
+        monkeypatch.setattr(domatic, "gamma_xk", lambda g, k, mode: GammaResult(2, (1, 5), mode, k, 0))
+        with pytest.raises(ValueError, match=r"gamma witness \(1, 5\) is not a valid set of 2 vertices"):
+            d_xk(gnp(6, 0.6, 8), 1)
+
     def test_value_at_the_zelinka_floor_is_searched(self):
         # K7 at k = 2: the floor and the ceiling are both 3, and the witness
         # comes from the partition search, not from the balanced blocks
         res = d_xk(complete(7), 2)
-        assert (res.bounds_used.zelinka_floor, res.bounds_used.ceiling, res.value) == (3, 3, 3)
+        assert (zelinka_floor(complete(7), 2), res.bounds_used.ceiling, res.value) == (3, 3, 3)
         assert is_domatic_partition(complete(7), res.witness)
 
     def test_fallback_when_nothing_above_one(self):
@@ -412,7 +420,7 @@ class TestMinimumSetRule:
         g = path(4)
         gamma = gamma_xk(g, 1, mode)
         assert gamma.value < g.n
-        assert domatic._minimum_set_rule(g, 1, mode, 1, gamma) == (1, None)
+        assert domatic._minimum_set_rule(g, 1, mode, 1, gamma.value, vertex_mask(g, gamma.witness)) == (1, None)
 
     def test_slack_zero_packing_decides_a_dense_ceiling(self):
         # gamma = 2 on 28 vertices, so 14 classes are 14 disjoint minimum sets: the packing
@@ -436,9 +444,10 @@ class TestMinimumSetRule:
         quartic = random_regular(42, 4, 1)
         witness = (0, 1, 4, 5, 9, 11, 21, 24, 27, 29)
         assert is_ktuple_dominating(quartic, witness, 1) and kjoin_decomposition_exists(quartic, 1, 9) is None
-        quartic_gamma = GammaResult(len(witness), witness, "closed", 1, 613_183)
-        left = within(0.03, lambda: [domatic._minimum_set_rule(sparse, 1, "open", 3, sparse_gamma),
-                                     domatic._minimum_set_rule(quartic, 1, "closed", 4, quartic_gamma)],
+        rules = [(sparse, "open", 3, sparse_gamma.value, vertex_mask(sparse, sparse_gamma.witness)),
+                 (quartic, "closed", 4, len(witness), vertex_mask(quartic, witness))]
+        left = within(0.03, lambda: [domatic._minimum_set_rule(g, 1, mode, top, size, mask)
+                                     for g, mode, top, size, mask in rules],
                       "the minimum-set rule on rr3(24,2) open and rr4(42,1) closed")
         assert left == [(2, None), (4, None)]
 
@@ -556,7 +565,7 @@ class TestExactCover:
         (cycle(4), 1, domatic.COVER_CAP, [2]),  # 2 classes at slack 0 stay with the colouring
     ], ids=["cover", "above-the-cap", "two-classes"])
     def test_counts_the_colouring_decides(self, g, k, cap, coloured, monkeypatch):
-        monkeypatch.setattr(domatic, "_minimum_set_rule", lambda g, k, mode, top, gamma: (top, None))
+        monkeypatch.setattr(domatic, "_minimum_set_rule", lambda g, k, mode, top, size, witness: (top, None))
         monkeypatch.setattr(domatic, "COVER_CAP", cap)
         searched = []
         colouring = domatic._find_partition

@@ -406,9 +406,11 @@ class TestOracle:
     def test_answers_at_the_cap(self):
         assert gamma_oracle(path(ORACLE_VERTEX_CAP), 1).value == -(-ORACLE_VERTEX_CAP // 3)  # ceil(n/3)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_solver_at_the_cap(self, k):
-        g = gnp(ORACLE_VERTEX_CAP, 0.3, 5)
+    @pytest.mark.parametrize("g, k", [
+        *[(gnp(ORACLE_VERTEX_CAP, 0.3, 5), k) for k in (1, 2, 3)],
+        (complete(ORACLE_VERTEX_CAP), 3),  # C(20, 3) = 1,140 minimal sets read from one 2^20-bit table
+    ], ids=["1", "2", "3", "complete-3"])  # k alone names the G(20, 0.3) rows
+    def test_matches_solver_at_the_cap(self, g, k):
         assert gamma_oracle(g, k).value == gamma_xk(g, k).value
 
     def test_respects_gate(self):
@@ -419,6 +421,39 @@ class TestOracle:
     def test_pinned_witness_and_count(self, g, k, mode, expected):
         result = gamma_oracle(g, k, mode)
         assert (result.value, result.witness, result.nodes_explored) == expected
+
+
+def covering_program_minimum(g, k, mode):
+    """gamma as a 0/1 covering program, solved by HiGHS to a proved optimum
+    (mip_rel_gap = 0): minimise sum x subject to sum over cover(v) of x >= k
+    for every v, with the covers built from g.adj, N(v) plus v itself in
+    closed mode.  Returns the optimum and a minimum set."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    rows = np.array([[nbrs >> u & 1 or (mode == "closed" and u == v) for u in range(g.n)]
+                     for v, nbrs in enumerate(g.adj)], dtype=float)
+    res = optimize.milp(np.ones(g.n), constraints=optimize.LinearConstraint(rows, lb=k),
+                        integrality=np.ones(g.n), bounds=optimize.Bounds(0, 1), options={"mip_rel_gap": 0})
+    assert res.success, res.message
+    return round(res.fun), [u for u in range(g.n) if res.x[u] > 0.5]
+
+
+class TestCoveringProgram:
+    """An independent gamma reference beyond the oracle's vertex cap; skipped
+    where scipy cannot be imported."""
+
+    @pytest.mark.parametrize("g, k, mode, expected", [
+        (gnp(24, 0.3, 1), 2, "closed", 7),
+        (random_regular(30, 3, 1), 1, "closed", 8),
+        (random_regular(30, 4, 2), 2, "open", 16),
+        (cycle(33), 1, "open", 17),
+        (gnp(28, 0.5, 3), 1, "closed", 3),
+    ], ids=["gnp24-k2", "rr3-30-k1", "rr4-30-k2-open", "C33-open", "gnp28-k1"])
+    def test_matches_solver_beyond_the_cap(self, g, k, mode, expected):
+        value, members = covering_program_minimum(g, k, mode)
+        valid = is_ktuple_dominating if mode == "closed" else is_ktuple_total_dominating
+        assert len(members) == value and valid(g, members, k)
+        assert value == gamma_xk(g, k, mode).value == expected
 
 
 class TestExactSizeScan:
@@ -550,6 +585,9 @@ class TestExactSizeScan:
             kjoin_decomposition_exists(complete(4), 3, 1)
         with pytest.raises(ValueError, match="exceeds"):
             kjoin_decomposition_exists(complete(4), 2, 5)
+        for t in (2.5, 3.0, "3", True):  # rejected as _check_k rejects k, not answered or crashed on
+            with pytest.raises(ValueError, match="t must be an integer"):
+                kjoin_decomposition_exists(cycle(6), 1, t)
 
     def test_gate_checked_before_size(self):
         # K2 at k=3 admits no set of any size: minimum degree 1 < k-1
