@@ -73,15 +73,17 @@ class DomaticResult(_Record):
 def is_domatic_partition(g: Graph, p: DomaticPartition) -> bool:
     """True iff p's classes partition V(g) and each passes the mode's test.
 
-    Structural defects that cannot be meant (a vertex outside the graph, two
-    classes sharing a vertex) raise ValueError; an incomplete cover or an
-    empty class merely returns False.
+    Structural defects that cannot be meant (a vertex outside the graph, a
+    class listing a vertex twice, two classes sharing a vertex) raise
+    ValueError; an incomplete cover or an empty class merely returns False.
     """
     _check_mode(p.mode)
     _check_k(p.k)
     masks = [vertex_mask(g, cls) for cls in p.classes]
     union = 0
-    for mask in masks:
+    for cls, mask in zip(p.classes, masks):
+        if len(cls) != mask.bit_count():
+            raise ValueError("a class lists a vertex twice")
         if union & mask:
             raise ValueError("classes overlap")
         union |= mask
@@ -120,38 +122,41 @@ def _search_bounds(g: Graph, k: int, mode: str, size: int) -> SearchBounds:
 # exact maximum
 
 
-def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -> list[list[int]] | None:
+def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -> list[tuple[int, ...]] | None:
     """Colour V into num_classes k-tuple dominating classes and return them
-    as ascending vertex lists, or return None when no such colouring exists.
+    as ascending vertex tuples, or return None when no such colouring exists.
 
-    A vertex's cover is N[x] in closed mode and N(x) in open mode.  Per
-    vertex x we keep, against its cover, the per-class hit counts, the
-    deficit sum(max(0, k - hits)) and the slack (uncoloured cover vertices
-    minus deficit); per class, its size, its need (below) and, for each
-    h < k, the mask of vertices with at most h hits of it; and the mask of
-    vertices of slack 0.
-    The search is fail-first, as in DSATUR: it picks the vertex w with the
-    least slack (ties go to the lower id), colours the lowest-id uncoloured
-    vertex of w's cover, and tries first the classes still short at w, then
-    the rest, each group in id order; nothing below the choice of w is
-    scored.  A vertex joins an opened class or opens the next one, which
-    kills class permutation symmetry; once every deficit is met the rest
-    join class 0.
+    A vertex's cover is N[x] in closed mode and N(x) in open mode.  Each
+    hit count is kept once, as a level: for each h < k and class c,
+    low[h][c] is the mask of vertices with at most h hits of c in their
+    cover, so x is short of c while it lies in low[k - 1][c].  Per class
+    we also keep its member mask and its need (below); per vertex x, its
+    slack, the uncoloured vertices of x's cover minus the hits x still
+    lacks over all classes; and the mask of vertices of slack 0.
+    The search is fail-first, as in DSATUR: among the vertices short of some
+    class it picks w with the least slack (ties go to the lower id), colours
+    the lowest-id uncoloured vertex of w's cover, and tries first the
+    classes w is short of, then the rest, each group in id order; nothing
+    below the choice of w is scored.  A vertex joins an opened class or
+    opens the next one, which kills class permutation symmetry; once no
+    vertex is short the uncoloured rest join class 0.
 
-    Two rules prune, and both are tested before a move, which is refused
-    instead of made and undone, so every colouring made keeps both.  Each
-    uncoloured cover vertex repairs at most one unit of one class, so a
-    negative slack fails.  Colouring v into c costs each x in v's cover one
-    uncoloured vertex and, while c is short at x, one unit of deficit, so
-    the move fails exactly when v's cover holds a vertex of slack 0 that c
-    already meets.  Class c still needs max(gamma - |c|, max_x(k - hits of
-    c at x), 0) members, where gamma is the minimum size of a k-tuple
-    dominating set, so a sum of needs above the uncoloured count fails.  A
-    colouring never raises a need, so the spare count (uncoloured vertices
-    minus summed needs) falls by at most 1, and only at spare 0 can the
-    move fail: exactly when c's need is 0, or is k - h for the lowest hit
-    level h of c and some vertex at level h lies outside v's cover.  The
-    state is updated in place on each colouring and undo, and the search
+    Colouring v into c lifts each vertex of v's cover one hit level of c:
+    on that cover, low[h][c] takes what low[h - 1][c] held.  Each vertex of
+    the cover loses an uncoloured vertex; those that c already meets lose
+    one slack with it, and the rest lack one hit fewer.  An undo shifts the
+    levels back and returns the slack.  Two rules prune, and both are
+    tested before a move, which is refused instead of made and undone, so
+    every colouring made keeps both.  Each uncoloured cover vertex repairs
+    at most one hit of one class, so a negative slack fails: the move
+    fails exactly when v's cover holds a vertex of slack 0 that c already
+    meets.  Class c still needs max(gamma - |c|, max_x(k - hits of c at x),
+    0) members, where gamma is the minimum size of a k-tuple dominating
+    set, so a sum of needs above the uncoloured count fails.  A colouring
+    never raises a need, so the spare count (uncoloured vertices minus
+    summed needs) falls by at most 1, and only at spare 0 can the move
+    fail: exactly when c's need is 0, or is k - h for the lowest hit level
+    h of c and some vertex at level h lies outside v's cover.  The search
     runs on an explicit stack.
     num_classes must not exceed degree_ceiling(g.min_degree, k, mode), so
     that every slack starts at zero or more.
@@ -159,113 +164,107 @@ def _find_partition(g: Graph, k: int, mode: str, num_classes: int, gamma: int) -
     n = g.n
     covers = g.covers(mode)
     cover_bits = g.cover_lists(mode)
-    color = [-1] * n
-    counts = [[0] * num_classes for _ in range(n)]
-    deficit = [k * num_classes] * n
-    slack = [len(bits) - k * num_classes for bits in cover_bits]
+    free = (1 << n) - 1  # the uncoloured vertices
+    members = [0] * num_classes
+    slack = [cover.bit_count() - k * num_classes for cover in covers]
     tight = sum([1 << x for x, s in enumerate(slack) if not s])  # the vertices of slack 0
-    size = [0] * num_classes
-    # low[c][h]: the vertices with at most h < k hits of class c; those outside low[c][k - 1] are met
-    low = [[(1 << n) - 1] * k for _ in range(num_classes)]
+    low = [[free] * num_classes for _ in range(k)]
+    unmet = low[-1]  # unmet[c]: the vertices short of class c
     need = [gamma] * num_classes  # an empty class needs gamma >= k members
     spare = n - sum(need)  # uncoloured vertices minus the summed class needs
     opened = 0
 
-    stack: list[list] = []  # frames [vertex, classes in the order to try, next index]
+    stack: list[list] = []  # frames [vertex, classes in the order to try, next index, met cover vertices]
     while True:
+        # the vertices short of some class: all of them while a class is empty
+        if opened < num_classes:
+            short = unmet[opened]
+        else:
+            short = 0
+            for mask in unmet:
+                short |= mask
+        if not short:
+            members[0] |= free
+            return [bit_list(mask) for mask in members]
         # the tightest vertex w: least slack, then lowest id
-        w = -1
-        w_slack = 0
-        for x in range(n):
-            if deficit[x]:
-                sx = slack[x]
-                if w < 0 or sx < w_slack:
-                    w, w_slack = x, sx
-        if w < 0:
-            classes: list[list[int]] = [[] for _ in range(num_classes)]
-            for v, c in enumerate(color):
-                classes[max(c, 0)].append(v)
-            return classes
-        # colour the lowest-id uncoloured vertex of w's cover (it has deficit > 0 and slack >= 0, so
-        # one exists), trying the classes short at w first
-        for v in cover_bits[w]:
-            if color[v] < 0:
-                break
-        hits_w = counts[w]
+        w = short & tight
+        if w:
+            w = (w & -w).bit_length() - 1
+        else:
+            w_slack = n
+            for x, s in enumerate(slack):
+                if s < w_slack and short >> x & 1:
+                    w, w_slack = x, s
+        # colour the lowest-id uncoloured vertex of w's cover (w is short and its slack is >= 0, so
+        # one exists), trying the classes w is short of first
+        v = covers[w] & free
+        v = (v & -v).bit_length() - 1
         classes = range(min(opened + 1, num_classes))
-        order = [c for c in classes if hits_w[c] < k]
+        order = [c for c in classes if unmet[c] >> w & 1]
         if len(order) < len(classes):
-            order += [c for c in classes if hits_w[c] >= k]
-        stack.append([v, order, 0])
+            order += [c for c in classes if not unmet[c] >> w & 1]
+        stack.append([v, order, 0, 0])
         # colour v of the top frame into its next class that passes both prunes, backtracking over
         # exhausted frames
         while stack:
             frame = stack[-1]
-            v, order, i = frame
+            v, order, i, met = frame
+            cover = covers[v]
             if i:  # undo v's colouring into the class tried last
                 c = order[i - 1]
-                color[v] = -1
-                size[c] -= 1
-                if not size[c]:
+                free |= 1 << v
+                members[c] ^= 1 << v
+                if not members[c]:
                     opened = c
-                lc = low[c]
+                for h in range(k - 1):
+                    low[h][c] = low[h][c] & ~cover | low[h + 1][c] & cover
+                unmet[c] |= cover & ~met
                 for u in cover_bits[v]:
-                    cu = counts[u]
-                    h = cu[c] - 1
-                    cu[c] = h
-                    if h < k:
-                        lc[h] |= 1 << u
-                        deficit[u] += 1
-                    else:
-                        s = slack[u]
-                        if not s:
-                            tight ^= 1 << u
-                        slack[u] = s + 1
+                    if met >> u & 1:
+                        slack[u] += 1
+                tight &= ~met
                 h = 0
-                while h < k and not lc[h]:
+                while h < k and not low[h][c]:
                     h += 1
                 was = need[c]
-                need[c] = max(gamma - size[c], k - h)
+                need[c] = max(gamma - members[c].bit_count(), k - h)
                 spare += was - need[c] + 1
-            cover = covers[v]
             while i < len(order):
                 c = order[i]
                 i += 1
-                lc = low[c]
-                if cover & tight & ~lc[-1]:
+                met = cover & ~unmet[c]
+                if met & tight:
                     continue  # a met vertex of slack 0 in v's cover would go negative
                 if not spare:  # the move lowers spare by 1 unless c's need falls
                     d = need[c]
-                    # d >= k - h for c's lowest hit level h, so low[c][k - d] is nonempty only at
+                    # d >= k - h for c's lowest hit level h, so low[k - d][c] is nonempty only at
                     # h = k - d, and then a vertex of it outside v's cover holds the need at d
-                    if not d or d <= k and lc[k - d] & ~cover:
+                    if not d or d <= k and low[k - d][c] & ~cover:
                         continue
                 break
             else:
                 stack.pop()
                 continue
             frame[2] = i
-            color[v] = c
-            size[c] += 1
+            frame[3] = met
+            free ^= 1 << v
+            members[c] |= 1 << v
             if c == opened:
                 opened += 1
+            for h in range(k - 1, 0, -1):
+                low[h][c] = low[h][c] & ~cover | low[h - 1][c] & cover
+            low[0][c] &= ~cover
             for u in cover_bits[v]:
-                cu = counts[u]
-                h = cu[c]
-                cu[c] = h + 1
-                if h < k:
-                    lc[h] ^= 1 << u
-                    deficit[u] -= 1
-                else:
+                if met >> u & 1:
                     s = slack[u] - 1
                     slack[u] = s
                     if not s:
                         tight |= 1 << u
             h = 0
-            while h < k and not lc[h]:
+            while h < k and not low[h][c]:
                 h += 1
             was = need[c]
-            need[c] = max(gamma - size[c], k - h)
+            need[c] = max(gamma - members[c].bit_count(), k - h)
             spare += was - need[c] - 1
             break
         else:

@@ -130,6 +130,11 @@ class TestPartitionPredicate:
         with pytest.raises(ValueError, match="overlap"):
             is_domatic_partition(cycle(4), p)
 
+    def test_repeated_vertex_raises(self):
+        for classes, mode in [(((0, 0, 1), (2, 3)), "closed"), (((0, 1), (2, 3, 3)), "open")]:
+            with pytest.raises(ValueError, match="twice"):
+                is_domatic_partition(cycle(4), DomaticPartition(classes, 1, mode))
+
     def test_foreign_vertex_raises(self):
         p = DomaticPartition(((0, 1, 2, 9),), 1, "closed")
         with pytest.raises(ValueError, match="outside"):
@@ -342,8 +347,12 @@ class TestFailFirstSearch:
         # of these rows, the class-need test refuses the most moves here (145 of the 837 refused);
         # making and undoing each refused move would take 1,059 colourings
         (gnp(12, 0.7, 1000016), 1, "open", ((0, 7), (1, 2), (3, 6, 10), (4, 5), (8, 9, 11))),  # 222
+        # at k = 3 each move shifts three hit levels of its class on the cover
+        (gnp(16, 0.85, 7), 3, "closed", ((0, 1, 5, 7), (2, 3, 10, 12), (4, 6, 8, 15), (9, 11, 13, 14))),  # 334
+        # 4 classes refuted in 323, then 3 found in 13
+        (gnp(14, 0.95, 2), 3, "closed", ((0, 1, 2, 3, 12, 13), (4, 8, 9, 10), (5, 6, 7, 11))),  # 336
     ], ids=["gnp(16,0.8,7)-closed", "gnp(14,0.9,7)-closed", "gnp(14,0.8,7)-closed", "gnp(20,0.7,7)-open",
-            "gnp(12,0.7,1000016)-open"])
+            "gnp(12,0.7,1000016)-open", "gnp(16,0.85,7)-k3-closed", "gnp(14,0.95,2)-k3-closed"])
     def test_frozen_backtracking_witness(self, g, k, mode, classes):
         res = d_xk(g, k, mode)
         assert res.witness.classes == classes
